@@ -54,11 +54,7 @@ from repro.core.regret import RegretTracker
 from repro.core.selection import top_k_indices
 from repro.core.state import LearningState
 from repro.entities.seller import SellerPopulation
-from repro.exceptions import (
-    ConfigurationError,
-    GracefulShutdownInterrupt,
-    PersistenceError,
-)
+from repro.exceptions import ConfigurationError, PersistenceError
 from repro.faults import FaultLog, RoundFaultPlan
 from repro.kernels.selection import top_k_partition
 from repro.obs.metrics import MetricsRegistry
@@ -73,7 +69,6 @@ from repro.resilience.shutdown import NEVER_STOP, ShutdownSignal
 from repro.runtime.arrivals import ChurnProcess, ChurnSpec
 from repro.runtime.kernel import SETTLE, Agent, EventKernel, Message
 from repro.sim.config import SimulationConfig
-from repro.sim.persistence import load_checkpoint, save_checkpoint
 from repro.sim.results import RunMetrics
 from repro.sim.rng import RngFactory
 from repro.sim.rounds import (
@@ -82,6 +77,12 @@ from repro.sim.rounds import (
     RoundContext,
     play_clean_round,
     play_degraded_round,
+)
+from repro.sim.runstate import (
+    graceful_shutdown,
+    load_run_state,
+    periodic_checkpoint,
+    save_run_state,
 )
 
 __all__ = ["TradeRecord", "TradeLedger", "SellerAgent", "PlatformAgent",
@@ -379,7 +380,7 @@ class MarketRuntime:
             tau_max=config.max_sensing_time,
             tau0=config.initial_sensing_time,
             tracer=self._tracer, metrics=self._reg, monitor=None,
-            backend=backend, scratch=scratch,
+            scratch=scratch,
         )
 
         self._kernel = EventKernel(self._tracer)
@@ -631,8 +632,7 @@ class MarketRuntime:
         self._platform.reported_slots = []
         missing = selected[~np.isin(selected, reported)]
         if missing.size == 0:
-            play_clean_round(self._ctx, t, selected, explore)
-            participants = selected
+            settlement = play_clean_round(self._ctx, t, selected, explore)
         else:
             # Organic churn reuses the fault machinery: departures are
             # dropout faults of a synthesised plan.
@@ -643,12 +643,12 @@ class MarketRuntime:
                 corrupted_sums=np.empty(0, dtype=np.float64),
                 stalled=_EMPTY_SLOTS,
             )
-            play_degraded_round(self._ctx, t, selected, explore, plan,
-                                self._fault_log)
-            participants = selected[~np.isin(selected, missing)]
+            settlement = play_degraded_round(self._ctx, t, selected,
+                                             explore, plan, self._fault_log)
         self._ledger.append(TradeRecord(
             round_index=t,
-            participants=np.asarray(participants, dtype=np.int64).copy(),
+            participants=np.asarray(settlement.participants,
+                                    dtype=np.int64).copy(),
             service_price=float(self._series["service"][t]),
             collection_price=float(self._series["collection"][t]),
             tau_total=float(self._series["totals"][t]),
@@ -711,21 +711,18 @@ class MarketRuntime:
         while self._next_round < target:
             t = self._next_round
             if stop.should_stop(t):
-                self._graceful_shutdown(t, checkpoint_path)
+                graceful_shutdown(
+                    self._ctx, t, checkpoint_path,
+                    lambda: self.save(checkpoint_path),
+                    subject="market runtime", policy=self._policy.name,
+                )
             self.play_round()
             played += 1
             if (checkpoint_path is not None and checkpoint_every
                     and (t + 1) % checkpoint_every == 0
                     and (t + 1) < self._num_rounds):
-                checkpoint_start = perf_counter()
-                self._reg.counter("checkpoint_writes").inc()
-                self.save(checkpoint_path)
-                if self._tracer.enabled:
-                    self._tracer.emit(
-                        "checkpoint", round_index=t, action="saved",
-                        path=os.fspath(checkpoint_path), next_round=t + 1,
-                        duration_s=perf_counter() - checkpoint_start,
-                    )
+                periodic_checkpoint(self._ctx, t, checkpoint_path,
+                                    lambda: self.save(checkpoint_path))
         return played
 
     def run(self, *, shutdown: ShutdownSignal | None = None,
@@ -785,26 +782,6 @@ class MarketRuntime:
                        else None),
         )
 
-    def _graceful_shutdown(
-            self, t: int,
-            checkpoint_path: str | os.PathLike | None) -> None:
-        final_path: str | None = None
-        if checkpoint_path is not None and t > 0:
-            self._reg.counter("checkpoint_writes").inc()
-            self.save(checkpoint_path)
-            final_path = os.fspath(checkpoint_path)
-        if self._tracer.enabled:
-            self._tracer.emit("graceful_shutdown", round_index=t,
-                              policy=self._policy.name,
-                              checkpoint_path=final_path)
-            self._tracer.flush()
-        raise GracefulShutdownInterrupt(
-            f"market runtime stopped before round {t} "
-            + (f"(resumable checkpoint: {final_path})" if final_path
-               else "(no checkpoint written)"),
-            checkpoint_path=final_path,
-        )
-
     # -- checkpoint / resume --------------------------------------------------------
 
     def _fingerprint(self) -> dict[str, object]:
@@ -822,43 +799,29 @@ class MarketRuntime:
 
     def save(self, path: str | os.PathLike) -> None:
         """Atomically persist the runtime's full resumable state."""
-        tracker_snapshot = self._tracker.snapshot()
-        meta = dict(self._fingerprint())
-        meta.update({
-            "next_round": self._next_round,
-            "next_session": self._next_session,
-            "sessions_opened": self._sessions_opened,
-            "sessions_closed": self._sessions_closed,
-            "messages_delivered": self._kernel.messages_delivered,
-            "messages_dropped": self._kernel.messages_dropped,
-            "tracker_cumulative": tracker_snapshot["cumulative"],
-            "tracker_rounds": tracker_snapshot["rounds"],
-            "tracker_expected_revenue":
-                tracker_snapshot["expected_revenue"],
-            "policy_rng_state": self._policy_rng.bit_generator.state,
-            "observation_rng_state":
-                self._observation_rng.bit_generator.state,
-        })
-        if self._metrics is not None:
-            meta["metrics_snapshot"] = self._reg.snapshot()
-        state_snapshot = self._state.snapshot()
         arrays = {
-            "state_counts": state_snapshot["counts"],
-            "state_sums": state_snapshot["sums"],
-            "regret_history": tracker_snapshot["history"],
-            "selection_counts": self._selection_counts,
             "online_mask": self._online,
             "slot_session": self._slot_session,
             "slot_opened_round": self._slot_opened_round,
             "slot_trades": self._slot_trades,
         }
-        for name in SERIES_NAMES:
-            arrays[f"series_{name}"] = self._series[name][:self._next_round]
         for key, value in self._ledger.to_arrays().items():
             arrays[f"ledger_{key}"] = value
-        for key, value in self._policy.state_snapshot().items():
-            arrays[f"policy__{key}"] = np.asarray(value)
-        save_checkpoint(path, meta, arrays, metrics=self._reg)
+        save_run_state(
+            path, self._ctx, self._next_round,
+            fingerprint=self._fingerprint(),
+            policy_rng=self._policy_rng,
+            observation_rng=self._observation_rng,
+            telemetry=self._metrics is not None,
+            extra_meta={
+                "next_session": self._next_session,
+                "sessions_opened": self._sessions_opened,
+                "sessions_closed": self._sessions_closed,
+                "messages_delivered": self._kernel.messages_delivered,
+                "messages_dropped": self._kernel.messages_dropped,
+            },
+            extra_arrays=arrays,
+        )
 
     def restore(self, path: str | os.PathLike) -> int:
         """Restore state saved by :meth:`save`; returns the next round.
@@ -867,29 +830,10 @@ class MarketRuntime:
         seed, sizes, churn spec), or
         :class:`~repro.exceptions.PersistenceError` is raised.
         """
-        meta, arrays = load_checkpoint(path, metrics=self._reg)
-        for key, expected in self._fingerprint().items():
-            if meta.get(key) != expected:
-                raise PersistenceError(
-                    f"checkpoint {os.fspath(path)!s} does not match this "
-                    f"runtime: {key} is {meta.get(key)!r}, expected "
-                    f"{expected!r}"
-                )
-        try:
-            next_round = int(meta["next_round"])
-            self._state.restore({"counts": arrays["state_counts"],
-                                 "sums": arrays["state_sums"]})
-            self._tracker.restore({
-                "cumulative": meta["tracker_cumulative"],
-                "rounds": meta["tracker_rounds"],
-                "expected_revenue": meta["tracker_expected_revenue"],
-                "history": arrays["regret_history"],
-            })
-            for name in SERIES_NAMES:
-                partial = arrays[f"series_{name}"]
-                self._series[name][:partial.size] = partial
-            self._selection_counts[:] = arrays["selection_counts"]
-            online = np.asarray(arrays["online_mask"], dtype=bool)
+        online = self._online.copy()
+
+        def restore_sessions(meta: dict, arrays: dict) -> None:
+            online[:] = np.asarray(arrays["online_mask"], dtype=bool)
             self._slot_session[:] = arrays["slot_session"]
             self._slot_opened_round[:] = arrays["slot_opened_round"]
             self._slot_trades[:] = arrays["slot_trades"]
@@ -900,25 +844,20 @@ class MarketRuntime:
                 int(meta["messages_delivered"]),
                 int(meta["messages_dropped"]),
             )
-            self._policy_rng.bit_generator.state = meta["policy_rng_state"]
-            self._observation_rng.bit_generator.state = (
-                meta["observation_rng_state"]
-            )
             self._ledger.restore_arrays({
                 key: arrays[f"ledger_{key}"]
                 for key in ("rounds", "offsets", "participants",
                             "settlements")
             })
-        except KeyError as error:
-            raise PersistenceError(
-                f"checkpoint {os.fspath(path)!s} is missing field "
-                f"{error.args[0]!r}"
-            ) from error
-        if not (0 < next_round <= self._num_rounds):
-            raise PersistenceError(
-                f"checkpoint {os.fspath(path)!s} has next_round "
-                f"{next_round}, outside (0, {self._num_rounds}]"
-            )
+
+        next_round = load_run_state(
+            path, self._ctx, self._num_rounds,
+            fingerprint=self._fingerprint(),
+            policy_rng=self._policy_rng,
+            observation_rng=self._observation_rng,
+            telemetry=self._metrics is not None,
+            restore_extras=restore_sessions,
+        )
         # Reconcile the agent roster with the restored online mask.
         for slot in range(self._m):
             agent_id = f"seller-{slot}"
@@ -929,14 +868,5 @@ class MarketRuntime:
             elif not online[slot] and self._kernel.has_agent(agent_id):
                 self._kernel.deregister(agent_id, slot=slot)
         self._online[:] = online
-        policy_snapshot = {
-            key[len("policy__"):]: value
-            for key, value in arrays.items()
-            if key.startswith("policy__")
-        }
-        self._policy.state_restore(policy_snapshot)
-        if (self._metrics is not None
-                and meta.get("metrics_snapshot") is not None):
-            self._metrics.restore(meta["metrics_snapshot"])
         self._next_round = next_round
         return next_round

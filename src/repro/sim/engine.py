@@ -62,12 +62,7 @@ from repro.bandits.base import SelectionPolicy
 from repro.core.regret import RegretTracker
 from repro.core.state import LearningState
 from repro.entities.seller import SellerPopulation
-from repro.exceptions import (
-    ConfigurationError,
-    GracefulShutdownInterrupt,
-    PersistenceError,
-    ReproError,
-)
+from repro.exceptions import ConfigurationError, ReproError
 from repro.faults import FaultLog, FaultModel, FaultSpec
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -76,45 +71,29 @@ from repro.quality.distributions import (
     TruncatedGaussianQuality,
 )
 from repro.quality.sampler import QualitySampler
-from repro.resilience.policy import (
-    NOOP_POLICY,
-    ResiliencePolicy,
-    execute_with_policy,
-)
+from repro.resilience.policy import NOOP_POLICY, ResiliencePolicy
 from repro.resilience.shutdown import NEVER_STOP, ShutdownSignal
 from repro.sim.config import SimulationConfig
-from repro.sim.persistence import (
-    load_checkpoint,
-    recover_checkpoint,
-    save_checkpoint,
-)
 from repro.sim.results import PolicyComparison, RunMetrics
 from repro.sim.rng import RngFactory
 from repro.sim.rounds import (
     PRIOR_MEAN,
-    QUALITY_FLOOR,
     SERIES_NAMES,
     RoundContext,
     play_clean_round,
     play_faulty_round,
+)
+from repro.sim.runstate import (
+    graceful_shutdown,
+    load_run_state,
+    periodic_checkpoint,
+    save_run_state,
 )
 
 __all__ = ["TradingSimulator", "run_seed_comparison"]
 
 #: Builds fresh (stateful) per-seed policies from expected qualities.
 PolicyFactory = Callable[[np.ndarray], "list[SelectionPolicy]"]
-
-#: Neutral unobserved-seller estimate — canonical home is
-#: :mod:`repro.sim.rounds`; kept here as the historical spelling.
-_PRIOR_MEAN = PRIOR_MEAN
-
-#: Floor applied to estimated qualities entering the game (see
-#: :data:`repro.sim.rounds.QUALITY_FLOOR`).
-_QUALITY_FLOOR = QUALITY_FLOOR
-
-#: Metric series checkpointed/restored round-by-round (regret lives in
-#: the tracker snapshot instead).
-_SERIES_NAMES = SERIES_NAMES
 
 #: Per-seller gauge name lists keyed by population size — building
 #: 2M f-strings dominates the end-of-run metrics dump otherwise, and
@@ -424,18 +403,18 @@ class TradingSimulator:
             from repro.kernels.state import VectorLearningState
 
             state: LearningState = VectorLearningState(
-                m, prior_mean=_PRIOR_MEAN
+                m, prior_mean=PRIOR_MEAN
             )
             scratch = np.empty(m)
         else:
-            state = LearningState(m, prior_mean=_PRIOR_MEAN)
+            state = LearningState(m, prior_mean=PRIOR_MEAN)
         tracker = RegretTracker(qualities_truth, k, num_pois)
         policy.reset(m, k, n)
         log = fault_log
         if log is None and fault_model is not None:
             log = FaultLog()
 
-        series = {name: np.empty(n) for name in _SERIES_NAMES}
+        series = {name: np.empty(n) for name in SERIES_NAMES}
         selection_counts = np.zeros(m, dtype=np.int64)
         tr = tracer if tracer is not None else NULL_TRACER
         reg = metrics if metrics is not None else MetricsRegistry()
@@ -451,20 +430,6 @@ class TradingSimulator:
 
             monitor = InvariantMonitor(num_pois, tracer=tr)
 
-        start_round = 0
-        if resume and (os.path.exists(checkpoint_path) or res.quarantine):
-            restore_start = perf_counter()
-            start_round = self._restore_checkpoint(
-                checkpoint_path, policy, n, state, tracker, series,
-                selection_counts, policy_rng, observation_rng,
-                fault_model, log, reg, metrics, resilience=res, tracer=tr,
-            )
-            if tr.enabled and start_round > 0:
-                tr.emit("checkpoint", action="restored",
-                        path=os.fspath(checkpoint_path),
-                        next_round=start_round,
-                        duration_s=perf_counter() - restore_start)
-
         ctx = RoundContext(
             state=state, tracker=tracker, policy=policy, sampler=sampler,
             series=series, selection_counts=selection_counts,
@@ -474,9 +439,52 @@ class TradingSimulator:
             svc_bounds=cfg.service_price_bounds,
             col_bounds=cfg.collection_price_bounds,
             tau_max=cfg.max_sensing_time, tau0=cfg.initial_sensing_time,
-            tracer=tr, metrics=reg, monitor=monitor,
-            backend=self._backend, scratch=scratch,
+            tracer=tr, metrics=reg, monitor=monitor, scratch=scratch,
         )
+        fingerprint = {
+            "kind": "engine_run",
+            "policy_name": policy.name,
+            "seed": cfg.seed,
+            "num_sellers": m,
+            "num_selected": k,
+            "num_pois": num_pois,
+            "num_rounds": n,
+            "fault_spec": (fault_model.spec.to_dict()
+                           if fault_model is not None else None),
+        }
+        # What both directions of the checkpoint codec share.
+        codec = {"policy_rng": policy_rng,
+                 "observation_rng": observation_rng,
+                 "telemetry": metrics is not None, "resilience": res}
+
+        def save_state(next_round: int) -> None:
+            save_run_state(
+                checkpoint_path, ctx, next_round, fingerprint=fingerprint,
+                extra_arrays=({f"faultlog_{key}": value
+                               for key, value in log.to_arrays().items()}
+                              if log is not None else None),
+                late_keys=("fault_spec",), **codec,
+            )
+
+        def restore_fault_log(meta: dict, arrays: dict) -> None:
+            if log is not None and "faultlog_rounds" in arrays:
+                log.restore_arrays({
+                    key: arrays[f"faultlog_{key}"]
+                    for key in ("rounds", "kinds", "sellers", "values")
+                })
+
+        start_round = 0
+        if resume and (os.path.exists(checkpoint_path) or res.quarantine):
+            restore_start = perf_counter()
+            start_round = load_run_state(
+                checkpoint_path, ctx, n, fingerprint=fingerprint,
+                restore_extras=restore_fault_log, **codec,
+            )
+            if tr.enabled and start_round > 0:
+                tr.emit("checkpoint", action="restored",
+                        path=os.fspath(checkpoint_path),
+                        next_round=start_round,
+                        duration_s=perf_counter() - restore_start)
 
         if tr.enabled:
             tr.emit("run_start", policy=policy.name, num_rounds=n,
@@ -487,11 +495,10 @@ class TradingSimulator:
 
         for t in range(start_round, n):
             if stop.should_stop(t):
-                self._graceful_shutdown(
-                    t, start_round, checkpoint_path, policy, n, state,
-                    tracker, series, selection_counts, policy_rng,
-                    observation_rng, fault_model, log, reg, metrics,
-                    res, tr,
+                graceful_shutdown(
+                    ctx, t, checkpoint_path, lambda: save_state(t),
+                    subject=f"run of policy {policy.name!r}",
+                    policy=policy.name, rounds_completed=t - start_round,
                 )
             round_start_time = perf_counter()
             if tr.enabled:
@@ -533,21 +540,8 @@ class TradingSimulator:
             reg.gauge("cumulative_regret").set(tracker.cumulative_regret)
             if (checkpoint_every and (t + 1) % checkpoint_every == 0
                     and (t + 1) < n):
-                checkpoint_start = perf_counter()
-                # Count the in-flight write first so the snapshot the
-                # checkpoint embeds covers it (resume carries it over).
-                reg.counter("checkpoint_writes").inc()
-                self._write_checkpoint(
-                    checkpoint_path, policy, n, t + 1, state, tracker,
-                    series, selection_counts, policy_rng, observation_rng,
-                    fault_model, log, reg, metrics, resilience=res,
-                    tracer=tr,
-                )
-                if tr.enabled:
-                    tr.emit("checkpoint", round_index=t, action="saved",
-                            path=os.fspath(checkpoint_path),
-                            next_round=t + 1,
-                            duration_s=perf_counter() - checkpoint_start)
+                periodic_checkpoint(ctx, t, checkpoint_path,
+                                    lambda: save_state(t + 1))
             reg.timer("engine.round").observe(
                 perf_counter() - round_start_time
             )
@@ -653,184 +647,3 @@ class TradingSimulator:
         :func:`repro.sim.rounds.play_faulty_round`.
         """
         play_faulty_round(ctx, t, selected, explore_round, fault_model, log)
-
-    # -- checkpointing -------------------------------------------------------------
-
-    def _graceful_shutdown(self, t: int, start_round: int,
-                           checkpoint_path: "str | os.PathLike | None",
-                           policy: SelectionPolicy, n: int,
-                           state: LearningState, tracker: RegretTracker,
-                           series: dict[str, np.ndarray],
-                           selection_counts: np.ndarray,
-                           policy_rng: np.random.Generator,
-                           observation_rng: np.random.Generator,
-                           fault_model: FaultModel | None,
-                           log: FaultLog | None, reg: MetricsRegistry,
-                           metrics: MetricsRegistry | None,
-                           res: ResiliencePolicy, tr: Tracer) -> None:
-        """Stop cleanly before round ``t``: final checkpoint, then raise.
-
-        The checkpoint (written only when a path is configured and at
-        least one round has completed — ``next_round = 0`` is not a
-        resumable state) makes the interruption lossless: ``resume=True``
-        continues from exactly round ``t``.
-        """
-        final_path: str | None = None
-        if checkpoint_path is not None and t > 0:
-            reg.counter("checkpoint_writes").inc()
-            self._write_checkpoint(
-                checkpoint_path, policy, n, t, state, tracker, series,
-                selection_counts, policy_rng, observation_rng,
-                fault_model, log, reg, metrics, resilience=res, tracer=tr,
-            )
-            final_path = os.fspath(checkpoint_path)
-        if tr.enabled:
-            tr.emit("graceful_shutdown", round_index=t,
-                    policy=policy.name,
-                    rounds_completed=t - start_round,
-                    checkpoint_path=final_path)
-            tr.flush()
-        raise GracefulShutdownInterrupt(
-            f"run of policy {policy.name!r} stopped before round {t} "
-            + (f"(resumable checkpoint: {final_path})" if final_path
-               else "(no checkpoint written)"),
-            checkpoint_path=final_path,
-        )
-
-    def _write_checkpoint(self, path: str | os.PathLike,
-                          policy: SelectionPolicy, n: int, next_round: int,
-                          state: LearningState, tracker: RegretTracker,
-                          series: dict[str, np.ndarray],
-                          selection_counts: np.ndarray,
-                          policy_rng: np.random.Generator,
-                          observation_rng: np.random.Generator,
-                          fault_model: FaultModel | None,
-                          log: FaultLog | None, reg: MetricsRegistry,
-                          metrics: MetricsRegistry | None, *,
-                          resilience: ResiliencePolicy = NOOP_POLICY,
-                          tracer: Tracer = NULL_TRACER) -> None:
-        tracker_snapshot = tracker.snapshot()
-        meta = {
-            "kind": "engine_run",
-            "policy_name": policy.name,
-            "seed": self._config.seed,
-            "num_sellers": self._config.num_sellers,
-            "num_selected": self._config.num_selected,
-            "num_pois": self._config.num_pois,
-            "num_rounds": n,
-            "next_round": next_round,
-            "tracker_cumulative": tracker_snapshot["cumulative"],
-            "tracker_rounds": tracker_snapshot["rounds"],
-            "tracker_expected_revenue": tracker_snapshot["expected_revenue"],
-            "policy_rng_state": policy_rng.bit_generator.state,
-            "observation_rng_state": observation_rng.bit_generator.state,
-            "fault_spec": (fault_model.spec.to_dict()
-                           if fault_model is not None else None),
-        }
-        # Telemetry rides along only when the caller attached a registry
-        # — the checkpoint bytes of un-instrumented runs stay
-        # deterministic (timer values are wall-clock and never are).
-        if metrics is not None:
-            meta["metrics_snapshot"] = reg.snapshot()
-        state_snapshot = state.snapshot()
-        arrays = {
-            "state_counts": state_snapshot["counts"],
-            "state_sums": state_snapshot["sums"],
-            "regret_history": tracker_snapshot["history"],
-            "selection_counts": selection_counts,
-        }
-        for name in _SERIES_NAMES:
-            arrays[f"series_{name}"] = series[name][:next_round]
-        if log is not None:
-            for key, value in log.to_arrays().items():
-                arrays[f"faultlog_{key}"] = value
-        for key, value in policy.state_snapshot().items():
-            arrays[f"policy__{key}"] = np.asarray(value)
-        execute_with_policy(
-            lambda: save_checkpoint(
-                path, meta, arrays, metrics=reg,
-                keep_generations=resilience.checkpoint_generations,
-            ),
-            resilience.retry, label="engine.checkpoint_write",
-            deadline=resilience.deadline, tracer=tracer, metrics=reg,
-        )
-
-    def _restore_checkpoint(self, path: str | os.PathLike,
-                            policy: SelectionPolicy, n: int,
-                            state: LearningState, tracker: RegretTracker,
-                            series: dict[str, np.ndarray],
-                            selection_counts: np.ndarray,
-                            policy_rng: np.random.Generator,
-                            observation_rng: np.random.Generator,
-                            fault_model: FaultModel | None,
-                            log: FaultLog | None, reg: MetricsRegistry,
-                            metrics: MetricsRegistry | None, *,
-                            resilience: ResiliencePolicy = NOOP_POLICY,
-                            tracer: Tracer = NULL_TRACER) -> int:
-        if resilience.quarantine:
-            recovered = recover_checkpoint(path, tracer=tracer,
-                                           metrics=reg)
-            if recovered is None:
-                return 0  # nothing valid survived: start from round 0
-            meta, arrays, __ = recovered
-        else:
-            meta, arrays = load_checkpoint(path, metrics=reg)
-        expected_fingerprint = {
-            "kind": "engine_run",
-            "policy_name": policy.name,
-            "seed": self._config.seed,
-            "num_sellers": self._config.num_sellers,
-            "num_selected": self._config.num_selected,
-            "num_pois": self._config.num_pois,
-            "num_rounds": n,
-            "fault_spec": (fault_model.spec.to_dict()
-                           if fault_model is not None else None),
-        }
-        for key, expected in expected_fingerprint.items():
-            if meta.get(key) != expected:
-                raise PersistenceError(
-                    f"checkpoint {os.fspath(path)!s} does not match this "
-                    f"run: {key} is {meta.get(key)!r}, expected {expected!r}"
-                )
-        try:
-            next_round = int(meta["next_round"])
-            state.restore({"counts": arrays["state_counts"],
-                           "sums": arrays["state_sums"]})
-            tracker.restore({
-                "cumulative": meta["tracker_cumulative"],
-                "rounds": meta["tracker_rounds"],
-                "expected_revenue": meta["tracker_expected_revenue"],
-                "history": arrays["regret_history"],
-            })
-            for name in _SERIES_NAMES:
-                partial = arrays[f"series_{name}"]
-                series[name][:partial.size] = partial
-            selection_counts[:] = arrays["selection_counts"]
-            policy_rng.bit_generator.state = meta["policy_rng_state"]
-            observation_rng.bit_generator.state = meta["observation_rng_state"]
-        except KeyError as error:
-            raise PersistenceError(
-                f"checkpoint {os.fspath(path)!s} is missing field "
-                f"{error.args[0]!r}"
-            ) from error
-        if not (0 < next_round <= n):
-            raise PersistenceError(
-                f"checkpoint {os.fspath(path)!s} has next_round "
-                f"{next_round}, outside (0, {n}]"
-            )
-        if log is not None and "faultlog_rounds" in arrays:
-            log.restore_arrays({
-                key: arrays[f"faultlog_{key}"]
-                for key in ("rounds", "kinds", "sellers", "values")
-            })
-        policy_snapshot = {
-            key[len("policy__"):]: value
-            for key, value in arrays.items()
-            if key.startswith("policy__")
-        }
-        policy.state_restore(policy_snapshot)
-        # Resumed runs carry their telemetry forward: counters/timers
-        # continue from the checkpointed snapshot instead of zero.
-        if metrics is not None and meta.get("metrics_snapshot") is not None:
-            metrics.restore(meta["metrics_snapshot"])
-        return next_round

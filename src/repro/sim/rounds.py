@@ -1,12 +1,14 @@
-"""The round bodies shared by the batch engine and the event runtime.
+"""The round bodies shared by every single-consumer driver.
 
 One trading round — selection already done — is the same computation
 whether it is driven by :class:`~repro.sim.engine.TradingSimulator`'s
-synchronous ``for t in range(n)`` loop or fired as a scheduled event by
-:class:`~repro.runtime.MarketRuntime`'s discrete-event kernel.  This
-module holds that computation exactly once, so "a static-population
-runtime run reproduces the batch engine bit for bit" is true *by
-construction* rather than by parallel maintenance of two copies.
+synchronous ``for t in range(n)`` loop, by
+:class:`~repro.core.mechanism.CMABHSMechanism` playing Algorithm 1, or
+fired as a scheduled event by :class:`~repro.runtime.MarketRuntime`'s
+discrete-event kernel.  This module holds that computation exactly
+once, so "the mechanism, the engine and a static-population runtime
+agree bit for bit" is true *by construction* rather than by parallel
+maintenance of several copies.
 
 Two bodies:
 
@@ -20,7 +22,8 @@ Two bodies:
 
 Both consume randomness only through the sampler handed to them, in a
 fixed call order, so callers control bit-identity entirely through
-stream construction.
+stream construction.  Both return the round's
+:class:`RoundSettlement`; the per-round series land in the context.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.bandits.base import SelectionPolicy
-from repro.core.incentive import solve_round_fast
+from repro.core.incentive import FormulaVariant, solve_round_fast
 from repro.core.regret import RegretTracker
 from repro.core.state import LearningState, observation_mask
 from repro.faults import FaultKind, FaultLog, FaultModel, RoundFaultPlan
@@ -49,13 +52,15 @@ __all__ = [
     "QUALITY_FLOOR",
     "SERIES_NAMES",
     "RoundContext",
+    "RoundSettlement",
     "play_clean_round",
     "play_faulty_round",
     "play_degraded_round",
 ]
 
-#: Neutral estimate used for sellers that have never been observed when a
-#: policy (for example ``random``) drags them into the game unseen.
+#: Neutral estimate of a seller that has never been observed, used when
+#: it enters the game unseen: a policy such as ``random`` picked it, or
+#: it dropped out of the exploration round.
 PRIOR_MEAN = 0.5
 
 #: Floor applied to estimated qualities entering the game (the closed
@@ -100,9 +105,9 @@ class RoundContext:
     tracer: Tracer
     metrics: MetricsRegistry
     monitor: "InvariantMonitor | None" = None
-    #: Which hot-path implementation drives this run ("scalar" or
-    #: "vector"); informational — the bodies branch on ``scratch``.
-    backend: str = "scalar"
+    #: Which closed-form Stage-2 constant the game is solved with (see
+    #: :class:`~repro.core.incentive.FormulaVariant`).
+    formula_variant: FormulaVariant = FormulaVariant.DERIVED
     #: Pre-allocated ``(M,)`` buffer the vector backend reuses for the
     #: per-round estimation-error reduction (``None`` on the scalar
     #: path, which allocates temporaries as it always has).
@@ -130,38 +135,58 @@ def _estimation_error_of(ctx: RoundContext, state: LearningState) -> float:
     return estimation_error_scalar(state.means, ctx.qualities_truth)
 
 
-def play_clean_round(ctx: RoundContext, t: int, selected: np.ndarray,
-                     explore_round: bool) -> None:
-    """One happy-path round (the original engine, bit for bit)."""
-    state, sampler, series = ctx.state, ctx.sampler, ctx.series
-    num_pois = ctx.num_pois
+@dataclass(frozen=True)
+class RoundSettlement:
+    """What one round settled: the strategy profile and who it covered.
+
+    ``participants`` are the sellers settlement covered (the selection
+    minus dropouts; empty for a no-trade round).  ``sensing_times``,
+    ``seller_profits`` and ``estimates`` align with them; ``estimates``
+    are the qualities the round's game was solved on.  The round's
+    leader profits and realized revenue live in the run's ``series``.
+    """
+
+    participants: np.ndarray
+    service_price: float
+    collection_price: float
+    sensing_times: np.ndarray
+    seller_profits: np.ndarray
+    estimates: np.ndarray
+
+
+def _solve_and_settle(ctx: RoundContext, t: int, participants: np.ndarray,
+                      explore_round: bool) -> RoundSettlement:
+    """Price the round on ``participants`` and account its profits.
+
+    The block both round bodies share: solve the game (exploration
+    pricing or the closed-form three-stage game on the floored
+    estimates), publish the price gauges and the ``equilibrium`` event,
+    check the invariants, and write the round's profit and strategy
+    series.  Exploration rounds must have learned before calling this:
+    their profits are evaluated at the post-collection estimates.
+    """
     theta, lam, omega = ctx.theta, ctx.lam, ctx.omega
     svc_bounds, col_bounds = ctx.svc_bounds, ctx.col_bounds
-    tr, reg = ctx.tracer, ctx.metrics
-    cost_a = ctx.cost_a_all[selected]
-    cost_b = ctx.cost_b_all[selected]
+    tr, reg, series = ctx.tracer, ctx.metrics, ctx.series
+    cost_a = ctx.cost_a_all[participants]
+    cost_b = ctx.cost_b_all[participants]
+    solve_start = perf_counter()
+    means = ctx.state.means[participants]
     if explore_round:
-        # Algorithm 1 initial exploration: fixed time, break-even
-        # price; profits are evaluated at the *post-collection*
-        # estimates (the qualities are learned before settlement).
-        observations = sampler.sample_round(selected, round_index=t)
-        state.update(selected, observations.sums, num_pois)
-        ctx.policy.observe(t, selected, observations.sums, num_pois)
-        solve_start = perf_counter()
-        means = state.means[selected]
-        taus = np.full(selected.size, ctx.tau0)
+        # Algorithm 1 initial exploration: fixed time, break-even price.
+        game_means = means
+        taus = np.full(participants.size, ctx.tau0)
         total = float(np.add.reduce(taus))
         p = col_bounds[1]
         aggregation = theta * total * total + lam * total
         p_j = min(max(p + aggregation / total, svc_bounds[0]),
                   svc_bounds[1])
     else:
-        solve_start = perf_counter()
-        means = state.means[selected]
         game_means = np.maximum(means, QUALITY_FLOOR)
         p_j, p, taus = solve_round_fast(
             game_means, cost_a, cost_b, theta, lam, omega,
             svc_bounds, col_bounds, ctx.tau_max,
+            paper_variant=ctx.formula_variant is FormulaVariant.PAPER,
         )
         total = float(np.add.reduce(taus))
         aggregation = theta * total * total + lam * total
@@ -177,13 +202,13 @@ def play_clean_round(ctx: RoundContext, t: int, selected: np.ndarray,
         # The game the solver actually solved uses the floored
         # estimates, so the invariants are checked against those.
         ctx.monitor.check_equilibrium(
-            t, means if explore_round else game_means, cost_a, cost_b,
-            theta, lam, omega, svc_bounds, col_bounds, ctx.tau_max,
+            t, game_means, cost_a, cost_b, theta, lam, omega,
+            svc_bounds, col_bounds, ctx.tau_max,
             float(p_j), float(p), taus, bool(explore_round),
         )
 
     # add.reduce == the pairwise kernel behind sum()/mean(), minus the
-    # per-call wrapper — same bits, and this body runs every round.
+    # per-call wrapper — same bits, and this block runs every round.
     mean_quality = float(np.add.reduce(means) / means.size)
     seller_profits = p * taus - (
         cost_a * taus * taus + cost_b * taus
@@ -198,7 +223,32 @@ def play_clean_round(ctx: RoundContext, t: int, selected: np.ndarray,
     series["service"][t] = p_j
     series["collection"][t] = p
     series["totals"][t] = total
+    return RoundSettlement(participants, p_j, p, taus, seller_profits,
+                           game_means)
 
+
+def _emit_profits(ctx: RoundContext, t: int) -> None:
+    series = ctx.series
+    ctx.tracer.emit("profits", round_index=t,
+                    consumer=float(series["consumer"][t]),
+                    platform=float(series["platform"][t]),
+                    sellers_mean=float(series["sellers_mean"][t]),
+                    realized=float(series["realized"][t]))
+
+
+def play_clean_round(ctx: RoundContext, t: int, selected: np.ndarray,
+                     explore_round: bool) -> RoundSettlement:
+    """One happy-path round (the original engine, bit for bit)."""
+    state, sampler, series = ctx.state, ctx.sampler, ctx.series
+    num_pois = ctx.num_pois
+    if explore_round:
+        # Profits of the exploration round are evaluated at the
+        # *post-collection* estimates (the qualities are learned
+        # before settlement).
+        observations = sampler.sample_round(selected, round_index=t)
+        state.update(selected, observations.sums, num_pois)
+        ctx.policy.observe(t, selected, observations.sums, num_pois)
+    settlement = _solve_and_settle(ctx, t, selected, explore_round)
     if not explore_round:
         observations = sampler.sample_round(selected, round_index=t)
         state.update(selected, observations.sums, num_pois)
@@ -210,17 +260,14 @@ def play_clean_round(ctx: RoundContext, t: int, selected: np.ndarray,
     ) * num_pois
     series["estimation_error"][t] = _estimation_error_of(ctx, state)
     ctx.selection_counts[selected] += 1
-    if tr.enabled:
-        tr.emit("profits", round_index=t,
-                consumer=float(series["consumer"][t]),
-                platform=float(series["platform"][t]),
-                sellers_mean=float(series["sellers_mean"][t]),
-                realized=float(series["realized"][t]))
+    if ctx.tracer.enabled:
+        _emit_profits(ctx, t)
+    return settlement
 
 
 def play_faulty_round(ctx: RoundContext, t: int, selected: np.ndarray,
                       explore_round: bool, fault_model: FaultModel,
-                      log: FaultLog | None) -> None:
+                      log: FaultLog | None) -> RoundSettlement:
     """One fault-injected round: draw the plan, log it, degrade.
 
     With an all-zero fault plan this produces bit-identical metrics to
@@ -233,12 +280,12 @@ def play_faulty_round(ctx: RoundContext, t: int, selected: np.ndarray,
     ctx.metrics.counter("fault_events").inc(
         plan.dropped.size + plan.corrupted.size + plan.stalled.size
     )
-    play_degraded_round(ctx, t, selected, explore_round, plan, log)
+    return play_degraded_round(ctx, t, selected, explore_round, plan, log)
 
 
 def play_degraded_round(ctx: RoundContext, t: int, selected: np.ndarray,
                         explore_round: bool, plan: RoundFaultPlan,
-                        log: FaultLog | None) -> None:
+                        log: FaultLog | None) -> RoundSettlement:
     """One round degraded by an already-drawn :class:`RoundFaultPlan`.
 
     The plan's ``dropped`` sellers are removed from settlement (the
@@ -251,8 +298,6 @@ def play_degraded_round(ctx: RoundContext, t: int, selected: np.ndarray,
     """
     state, sampler, series = ctx.state, ctx.sampler, ctx.series
     num_pois = ctx.num_pois
-    theta, lam, omega = ctx.theta, ctx.lam, ctx.omega
-    svc_bounds, col_bounds = ctx.svc_bounds, ctx.col_bounds
     tr, reg = ctx.tracer, ctx.metrics
     participants = selected[~np.isin(selected, plan.dropped)]
 
@@ -276,11 +321,13 @@ def play_degraded_round(ctx: RoundContext, t: int, selected: np.ndarray,
         series["consumer"][t] = 0.0
         series["platform"][t] = 0.0
         series["sellers_mean"][t] = 0.0
-        series["service"][t] = svc_bounds[0]
-        series["collection"][t] = col_bounds[0]
+        series["service"][t] = ctx.svc_bounds[0]
+        series["collection"][t] = ctx.col_bounds[0]
         series["totals"][t] = 0.0
         series["estimation_error"][t] = _estimation_error_of(ctx, state)
-        return
+        empty = np.empty(0)
+        return RoundSettlement(participants, ctx.svc_bounds[0],
+                               ctx.col_bounds[0], empty, empty, empty)
 
     if participants.size < selected.size:
         if log is not None:
@@ -292,14 +339,8 @@ def play_degraded_round(ctx: RoundContext, t: int, selected: np.ndarray,
                     fault=FaultKind.DEGRADED.value,
                     survivors=int(participants.size))
 
-    cost_a = ctx.cost_a_all[participants]
-    cost_b = ctx.cost_b_all[participants]
-    delivered = None
-    settle_mask = None
-
-    def collect() -> None:
-        """Sample, inject corruption, quarantine, and learn."""
-        nonlocal delivered, settle_mask
+    def collect() -> float:
+        """Sample, inject corruption, quarantine, learn; the settled revenue."""
         observations = sampler.sample_round(participants, round_index=t)
         delivered = observations.sums.copy()
         if plan.corrupted.size:
@@ -329,70 +370,17 @@ def play_degraded_round(ctx: RoundContext, t: int, selected: np.ndarray,
         ctx.policy.observe(t, participants[valid], delivered[valid],
                            num_pois)
         settle_mask = valid & ~np.isin(participants, plan.stalled)
+        return float(delivered[settle_mask].sum())
 
+    # The game is (re-)solved on the survivors only — a degraded set
+    # never raises, it just trades less.
     if explore_round:
-        collect()
-        solve_start = perf_counter()
-        means = state.means[participants]
-        taus = np.full(participants.size, ctx.tau0)
-        total = float(taus.sum())
-        p = col_bounds[1]
-        aggregation = theta * total * total + lam * total
-        p_j = min(max(p + aggregation / total, svc_bounds[0]),
-                  svc_bounds[1])
-    else:
-        # The game is (re-)solved on the survivors only — a degraded
-        # set never raises, it just trades less.
-        solve_start = perf_counter()
-        means = state.means[participants]
-        game_means = np.maximum(means, QUALITY_FLOOR)
-        p_j, p, taus = solve_round_fast(
-            game_means, cost_a, cost_b, theta, lam, omega,
-            svc_bounds, col_bounds, ctx.tau_max,
-        )
-        total = float(np.add.reduce(taus))
-        aggregation = theta * total * total + lam * total
-    solve_duration = perf_counter() - solve_start
-    reg.timer("engine.solve").observe(solve_duration)
-    reg.gauge("service_price").set(p_j)
-    reg.gauge("collection_price").set(p)
-    if tr.enabled:
-        tr.emit("equilibrium", round_index=t, service_price=float(p_j),
-                collection_price=float(p), tau_total=total,
-                explore=bool(explore_round), duration_s=solve_duration)
-    if ctx.monitor is not None:
-        # The game the solver actually solved uses the floored
-        # estimates, so the invariants are checked against those.
-        ctx.monitor.check_equilibrium(
-            t, means if explore_round else game_means, cost_a, cost_b,
-            theta, lam, omega, svc_bounds, col_bounds, ctx.tau_max,
-            float(p_j), float(p), taus, bool(explore_round),
-        )
-
-    # add.reduce == the pairwise kernel behind sum()/mean(), minus the
-    # per-call wrapper — same bits, and this body runs every round.
-    mean_quality = float(np.add.reduce(means) / means.size)
-    seller_profits = p * taus - (
-        cost_a * taus * taus + cost_b * taus
-    ) * means
-    series["consumer"][t] = (
-        omega * np.log1p(mean_quality * total) - p_j * total
-    )
-    series["platform"][t] = (p_j - p) * total - aggregation
-    series["sellers_mean"][t] = float(
-        np.add.reduce(seller_profits) / seller_profits.size
-    )
-    series["service"][t] = p_j
-    series["collection"][t] = p
-    series["totals"][t] = total
-
+        realized = collect()
+    settlement = _solve_and_settle(ctx, t, participants, explore_round)
     if not explore_round:
-        collect()
-    series["realized"][t] = float(delivered[settle_mask].sum())
+        realized = collect()
+    series["realized"][t] = realized
     series["estimation_error"][t] = _estimation_error_of(ctx, state)
     if tr.enabled:
-        tr.emit("profits", round_index=t,
-                consumer=float(series["consumer"][t]),
-                platform=float(series["platform"][t]),
-                sellers_mean=float(series["sellers_mean"][t]),
-                realized=float(series["realized"][t]))
+        _emit_profits(ctx, t)
+    return settlement

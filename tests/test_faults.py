@@ -322,3 +322,25 @@ class TestMechanismDegradation:
             assert outcome.participants is not None
             assert outcome.participants.size == int(event.value)
             assert outcome.participants.size < outcome.selected.size
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unobserved_seller_enters_game_at_prior(self, seed):
+        """A seller that dropped out of round 0 is priced at the prior.
+
+        With no observation of it, round 1's game must see the neutral
+        prior estimate 0.5, not the 1e-6 quality floor (which would
+        collapse the round to p* = 0, tau = 0).
+        """
+        from repro.sim.rounds import PRIOR_MEAN
+
+        model = FaultModel(FaultSpec(dropout_rate=0.3), RngFactory(seed), 12)
+        result = self.make_mechanism(seed=seed).run(fault_model=model)
+        first, second = result.rounds[0], result.rounds[1]
+        unseen = np.setdiff1d(first.selected, first.active)
+        entered = np.isin(second.active, unseen)
+        assert entered.any(), "no round-0 dropout took part in round 1"
+        np.testing.assert_array_equal(
+            second.estimated_qualities[entered], PRIOR_MEAN
+        )
+        assert second.total_sensing_time > 0.0
+        assert second.collection_price > 0.0

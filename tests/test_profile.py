@@ -217,6 +217,41 @@ class TestProfiledEngine:
         assert payload["phases"][0]["self_s"] >= 0.0
 
 
+
+class TestProfiledMechanism:
+    """The mechanism reports under the engine's phase taxonomy."""
+
+    @pytest.mark.parametrize("faulty", [False, True],
+                             ids=["clean", "faulty"])
+    def test_timers_are_known_phases_with_nonnegative_self_time(
+            self, faulty):
+        from repro.core import CMABHSMechanism
+        from repro.entities import Consumer, Job, Platform, SellerPopulation
+        from repro.faults import FaultModel, FaultSpec
+        from repro.obs.profile import _PHASE_PARENT
+        from repro.sim.rng import RngFactory
+
+        population = SellerPopulation.random(12, np.random.default_rng(7))
+        mechanism = CMABHSMechanism(
+            population, Job.simple(num_pois=5, num_rounds=40),
+            Platform.default(), Consumer.default(), k=3, seed=1,
+        )
+        faults = (FaultModel(FaultSpec(0.2, 0.05, 0.05), RngFactory(1), 12)
+                  if faulty else None)
+        registry = MetricsRegistry()
+        mechanism.run(fault_model=faults, metrics=registry)
+        timers = registry.timers
+        assert {"engine.round", "engine.selection",
+                "engine.solve"} <= set(timers)
+        assert set(timers) <= set(_PHASE_PARENT)
+        children: dict[str, float] = {}
+        for name, timer in timers.items():
+            parent = _PHASE_PARENT[name]
+            if parent is not None:
+                children[parent] = children.get(parent, 0.0) + timer.total
+        for name, timer in timers.items():
+            assert timer.total - children.get(name, 0.0) >= 0.0, name
+
 class TestProfileCli:
     def test_profile_round_trips_json(self, capsys, tmp_path):
         out = tmp_path / "profile.json"

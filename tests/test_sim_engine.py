@@ -17,9 +17,11 @@ from repro.entities.job import Job
 from repro.entities.platform import Platform
 from repro.entities.seller import SellerPopulation
 from repro.exceptions import ConfigurationError
+from repro.faults import FaultLog, FaultModel, FaultSpec
 from repro.quality.distributions import TruncatedGaussianQuality
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import TradingSimulator
+from repro.sim.rng import RngFactory
 
 
 @pytest.fixture
@@ -167,15 +169,16 @@ class TestCompare:
 
 
 class TestAgreementWithMechanism:
-    def test_engine_matches_mechanism_round_for_round(self):
+    @pytest.mark.parametrize("fault_spec", [
+        None, FaultSpec(0.2, 0.05, 0.05),
+    ], ids=["clean", "faulty"])
+    def test_engine_matches_mechanism_round_for_round(self, fault_spec):
         """The engine driving a UCBPolicy replays Algorithm 1 exactly.
 
-        Under a noise-free quality model both implementations see
-        identical observation streams, so every selection, price, and
-        profit must coincide round for round.
+        Both play the same round bodies on the same seed, population,
+        quality model (the default noisy one) and fault schedule, so
+        every per-round series they share must coincide bit for bit.
         """
-        from repro.quality.distributions import DeterministicQuality
-
         seed = 21
         num_rounds = 60
         config = SimulationConfig(
@@ -183,34 +186,47 @@ class TestAgreementWithMechanism:
             num_rounds=num_rounds, seed=seed,
             collection_price_bounds=(0.0, 5.0),
         )
-        base = TradingSimulator(config)
-        model = DeterministicQuality(base.population.expected_qualities)
-        simulator = TradingSimulator(config, population=base.population,
-                                     quality_model=model)
-        run = simulator.run(UCBPolicy())
+        simulator = TradingSimulator(config)
+        faults = (None if fault_spec is None
+                  else simulator.fault_model(fault_spec))
+        run = simulator.run(UCBPolicy(), fault_model=faults)
 
         job = Job.simple(num_pois=5, num_rounds=num_rounds)
         mechanism = CMABHSMechanism(
-            base.population, job,
+            simulator.population, job,
             Platform.default(theta=config.theta, lam=config.lam,
                              price_max=5.0),
             Consumer.default(omega=config.omega),
             k=3,
-            quality_model=model,
+            quality_model=simulator.quality_model,
             seed=seed,
         )
-        result = mechanism.run()
-        for t in range(num_rounds):
-            outcome = result.rounds[t]
-            assert run.collection_price[t] == pytest.approx(
-                outcome.collection_price
-            ), f"round {t}"
-            assert run.service_price[t] == pytest.approx(
-                outcome.service_price
-            ), f"round {t}"
-            assert run.consumer_profit[t] == pytest.approx(
-                outcome.consumer_profit
-            ), f"round {t}"
-            assert run.total_sensing_time[t] == pytest.approx(
-                outcome.total_sensing_time
-            ), f"round {t}"
+        faults = (None if fault_spec is None
+                  else FaultModel(fault_spec, RngFactory(seed), 12))
+        log = FaultLog()
+        result = mechanism.run(fault_model=faults, fault_log=log)
+        assert (log.summary().get("dropout", 0) > 0) == (faults is not None)
+
+        profits = result.profits()
+        strategies = result.strategies()
+        shared = {
+            "service_price": (run.service_price,
+                              strategies["service_price"]),
+            "collection_price": (run.collection_price,
+                                 strategies["collection_price"]),
+            "total_sensing_time": (run.total_sensing_time,
+                                   strategies["total_sensing_time"]),
+            "consumer_profit": (run.consumer_profit, profits["consumer"]),
+            "platform_profit": (run.platform_profit, profits["platform"]),
+            "seller_profit_mean": (run.seller_profit_mean,
+                                   profits["sellers_mean"]),
+            "realized_revenue": (
+                run.realized_revenue,
+                np.array([r.observed_quality_total for r in result.rounds]),
+            ),
+            "regret": (run.regret, result.regret_history),
+            "selection_counts": (run.selection_counts,
+                                 result.selection_matrix.sum(axis=0)),
+        }
+        for name, (engine_series, mechanism_series) in shared.items():
+            assert engine_series.tolist() == mechanism_series.tolist(), name
