@@ -85,6 +85,19 @@ def _add_fault_tolerance_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _checkpoint_dir(args: argparse.Namespace) -> str | None:
+    """The (created) ``--checkpoint-dir``; ``--resume`` requires one."""
+    import os
+
+    from repro.exceptions import ConfigurationError
+
+    if args.resume and not args.checkpoint_dir:
+        raise ConfigurationError("--resume requires --checkpoint-dir")
+    if args.checkpoint_dir:
+        os.makedirs(args.checkpoint_dir, exist_ok=True)
+    return args.checkpoint_dir
+
+
 def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
     """Shared retry/timeout flags (default: no-op, byte-identical)."""
     parser.add_argument(
@@ -737,17 +750,15 @@ def _command_quickstart(args: argparse.Namespace) -> int:
     ]
     spec = parse_fault_spec(args.faults)
     fault_model = simulator.fault_model(spec) if spec is not None else None
+    checkpoint_dir = _checkpoint_dir(args)
     tracer, metrics = _build_observability(args)
-    if args.checkpoint_dir:
-        os.makedirs(args.checkpoint_dir, exist_ok=True)
     fault_logs: dict[str, FaultLog] = {}
     comparison = PolicyComparison()
     for policy in policies:
         log = FaultLog() if fault_model is not None else None
         checkpoint_path = (
-            os.path.join(args.checkpoint_dir,
-                         f"quickstart-{policy.name}.npz")
-            if args.checkpoint_dir else None
+            os.path.join(checkpoint_dir, f"quickstart-{policy.name}.npz")
+            if checkpoint_dir else None
         )
         comparison.add(simulator.run(
             policy, args.rounds,
@@ -756,7 +767,7 @@ def _command_quickstart(args: argparse.Namespace) -> int:
             checkpoint_path=checkpoint_path,
             checkpoint_every=(max(1, args.rounds // 10)
                               if checkpoint_path else 0),
-            resume=args.resume and checkpoint_path is not None,
+            resume=args.resume,
             tracer=tracer,
             metrics=metrics,
             strict=args.strict,
@@ -813,17 +824,15 @@ def _command_replicate(args: argparse.Namespace) -> int:
         ]
 
     spec = parse_fault_spec(args.faults)
+    checkpoint_dir = _checkpoint_dir(args)
     tracer, metrics = _build_observability(args)
-    checkpoint_path = None
-    if args.checkpoint_dir:
-        os.makedirs(args.checkpoint_dir, exist_ok=True)
-        checkpoint_path = os.path.join(args.checkpoint_dir,
-                                       "replicate-sweep.json")
+    checkpoint_path = (os.path.join(checkpoint_dir, "replicate-sweep.json")
+                       if checkpoint_dir else None)
     result = replicate_comparison(
         config, factory, num_seeds=args.seeds, first_seed=args.first_seed,
         fault_spec=spec,
         checkpoint_path=checkpoint_path,
-        resume=args.resume and checkpoint_path is not None,
+        resume=args.resume,
         workers=args.workers,
         tracer=tracer,
         metrics=metrics,

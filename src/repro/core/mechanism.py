@@ -14,21 +14,18 @@ Orchestrates one full data-trading job:
 The mechanism returns the complete bandit policy ``chi`` and the strategy
 profile ``<p^J*, p*, tau*>`` of every round, exactly the outputs of
 Algorithm 1, plus per-round profits for analysis.  It owns the loop and
-the outputs; each round is played by the round bodies of
-:mod:`repro.sim.rounds`, the same ones the batch engine and the event
-runtime play.
+the outputs; the run is set up, and each round played, by the driver in
+:mod:`repro.sim.rounds` that the batch engine and the event runtime
+share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from repro.obs.timing import perf_counter
 
 import numpy as np
 
 from repro.core.incentive import FormulaVariant
-from repro.core.regret import RegretTracker
-from repro.core.state import LearningState
 from repro.entities.consumer import Consumer
 from repro.entities.job import Job
 from repro.entities.platform import Platform
@@ -37,9 +34,8 @@ from repro.exceptions import ConfigurationError
 from repro.faults import FaultLog, FaultModel
 from repro.game.profits import GameInstance, StrategyProfile
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import Tracer
 from repro.quality.distributions import QualityModel, TruncatedGaussianQuality
-from repro.quality.sampler import QualitySampler
 
 __all__ = ["RoundOutcome", "TradingResult", "CMABHSMechanism"]
 
@@ -290,8 +286,8 @@ class CMABHSMechanism:
             metrics: MetricsRegistry | None = None) -> TradingResult:
         """Execute Algorithm 1 for ``num_rounds`` rounds (default: job's N).
 
-        Each round is played by the round bodies of
-        :mod:`repro.sim.rounds` — the ones the batch engine plays — with
+        Each round is :func:`repro.sim.rounds.play_round` — the batch
+        engine's round — with
         :class:`~repro.bandits.UCBPolicy` selecting and observation
         noise drawn from the ``RngFactory(seed)`` streams the engine
         uses, so the mechanism and ``TradingSimulator.run(UCBPolicy())``
@@ -329,69 +325,34 @@ class CMABHSMechanism:
         from repro.bandits.policies import UCBPolicy
         from repro.sim.rng import RngFactory
         from repro.sim.rounds import (
-            PRIOR_MEAN,
-            SERIES_NAMES,
             RoundContext,
-            play_clean_round,
-            play_faulty_round,
+            close_run,
+            open_run,
+            play_round,
         )
 
-        tr = tracer if tracer is not None else NULL_TRACER
-        reg = metrics if metrics is not None else MetricsRegistry()
-        num_pois = self._job.num_pois
-        population = self._population
-        factory = RngFactory(self._seed)
-        sampler = QualitySampler(self._quality_model, num_pois,
-                                 factory.generator("observations"))
-        policy = UCBPolicy(self._coefficient)
-        policy_rng = factory.generator("policy", policy.name)
-        state = LearningState(m, prior_mean=PRIOR_MEAN)
-        policy.reset(m, self._k, n)
-        log = fault_log
-        if log is None and fault_model is not None:
-            log = FaultLog()
-        series = {name: np.empty(n) for name in SERIES_NAMES}
-        ctx = RoundContext(
-            state=state,
-            tracker=RegretTracker(population.expected_qualities, self._k,
-                                  num_pois),
-            policy=policy, sampler=sampler, series=series,
-            selection_counts=np.zeros(m, dtype=np.int64),
-            qualities_truth=population.expected_qualities,
-            cost_a_all=population.cost_a, cost_b_all=population.cost_b,
-            num_pois=num_pois,
+        ctx = RoundContext.new_run(
+            RngFactory(self._seed), UCBPolicy(self._coefficient),
+            self._population, self._quality_model,
+            num_selected=self._k, num_pois=self._job.num_pois, num_rounds=n,
+            tracer=tracer, metrics=metrics,
             theta=self._platform.aggregation_cost.theta,
             lam=self._platform.aggregation_cost.lam,
             omega=self._consumer.valuation.omega,
             svc_bounds=(self._consumer.price_min, self._consumer.price_max),
             col_bounds=(self._platform.price_min, self._platform.price_max),
             tau_max=self._job.round_duration, tau0=self._tau0,
-            tracer=tr, metrics=reg, formula_variant=self._variant,
+            formula_variant=self._variant,
         )
-        run_start = perf_counter()
-        if tr.enabled:
-            tr.emit("run_start", mechanism="cmab-hs", num_rounds=n,
-                    num_sellers=m, num_selected=self._k, num_pois=num_pois,
-                    seed=self._seed, faults=fault_model is not None)
+        log = fault_log
+        if log is None and fault_model is not None:
+            log = FaultLog()
+        series = ctx.series
+        label = {"mechanism": "cmab-hs"}
+        run_start = open_run(ctx, label, 0, faults=fault_model is not None)
         rounds: list[RoundOutcome] = []
         for t in range(n):
-            round_start = perf_counter()
-            if tr.enabled:
-                tr.emit("round_start", round_index=t)
-            selected = policy.select(t, state, policy_rng)
-            selection_duration = perf_counter() - round_start
-            reg.timer("engine.selection").observe(selection_duration)
-            if tr.enabled:
-                ucb = policy.last_ucb_values
-                tr.emit("selection", round_index=t, selected=selected,
-                        explore=t == 0,
-                        ucb=None if ucb is None else ucb[selected],
-                        duration_s=selection_duration)
-            if fault_model is None:
-                settled = play_clean_round(ctx, t, selected, t == 0)
-            else:
-                settled = play_faulty_round(ctx, t, selected, t == 0,
-                                            fault_model, log)
+            selected, settled = play_round(ctx, t, fault_model, log)
             rounds.append(RoundOutcome(
                 round_index=t,
                 selected=selected,
@@ -409,22 +370,11 @@ class CMABHSMechanism:
                 participants=(None if fault_model is None
                               else settled.participants),
             ))
-            reg.counter("rounds").inc()
-            reg.gauge("cumulative_regret").set(ctx.tracker.cumulative_regret)
-            reg.timer("engine.round").observe(perf_counter() - round_start)
-            if tr.enabled:
-                tr.emit("round_end", round_index=t,
-                        duration_s=perf_counter() - round_start)
-        if tr.enabled:
-            tr.emit("run_end", mechanism="cmab-hs", rounds_played=n,
-                    total_revenue=float(series["realized"].sum()),
-                    final_regret=ctx.tracker.cumulative_regret,
-                    duration_s=perf_counter() - run_start)
-            tr.flush()
+        close_run(ctx, label, run_start, n)
         return TradingResult(
             rounds=rounds,
-            final_means=state.means,
-            final_counts=np.asarray(state.counts, dtype=np.int64).copy(),
+            final_means=ctx.state.means,
+            final_counts=np.asarray(ctx.state.counts, dtype=np.int64).copy(),
             cumulative_regret=ctx.tracker.cumulative_regret,
             regret_history=ctx.tracker.history,
         )

@@ -25,11 +25,15 @@ over whatever seller population is *online right now*:
 Determinism contract (enforced by ``repro verify --only runtime``):
 
 * **Batch equivalence** — with a static population (no churn, all
-  sellers online) the runtime constructs the identical RNG streams in
-  the identical order as the batch engine and executes the identical
-  round bodies, so its :class:`~repro.sim.results.RunMetrics` is
-  bit-identical to ``TradingSimulator.run`` at the same seed *by
-  construction*.
+  sellers online) the runtime builds its instance and its RNG streams
+  through the constructors the batch engine uses
+  (:func:`repro.sim.rounds.build_instance`,
+  :meth:`repro.sim.rounds.RoundContext.new_run`), selects with the
+  policy's own rule and executes the identical round bodies, so its
+  :class:`~repro.sim.results.RunMetrics` is bit-identical to
+  ``TradingSimulator.run`` at the same seed *by construction*.  Under
+  churn or managed sessions, selection is UCB masked to the online
+  roster, so those require :class:`~repro.bandits.UCBPolicy`.
 * **Script determinism** — the same seed plus the same event schedule
   (churn spec or session script) always yields a bit-identical trade
   ledger; message traffic carries no simulation state and tracing
@@ -50,38 +54,39 @@ import numpy as np
 
 from repro.bandits.base import SelectionPolicy
 from repro.bandits.policies import UCBPolicy
-from repro.core.regret import RegretTracker
 from repro.core.selection import top_k_indices
 from repro.core.state import LearningState
 from repro.entities.seller import SellerPopulation
 from repro.exceptions import ConfigurationError, PersistenceError
-from repro.faults import FaultLog, RoundFaultPlan
+from repro.faults import RoundFaultPlan
 from repro.kernels.selection import top_k_partition
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timing import perf_counter
-from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.quality.distributions import (
-    QualityModel,
-    TruncatedGaussianQuality,
-)
-from repro.quality.sampler import QualitySampler
+from repro.obs.tracer import Tracer
+from repro.quality.distributions import QualityModel
 from repro.resilience.shutdown import NEVER_STOP, ShutdownSignal
 from repro.runtime.arrivals import ChurnProcess, ChurnSpec
 from repro.runtime.kernel import SETTLE, Agent, EventKernel, Message
 from repro.sim.config import SimulationConfig
 from repro.sim.results import RunMetrics
-from repro.sim.rng import RngFactory
 from repro.sim.rounds import (
-    PRIOR_MEAN,
-    SERIES_NAMES,
     RoundContext,
+    begin_round,
+    build_instance,
+    close_run,
+    end_round,
+    game_terms,
+    open_run,
     play_clean_round,
     play_degraded_round,
+    record_selection,
+    run_metrics,
+    select_round,
 )
 from repro.sim.runstate import (
     graceful_shutdown,
     load_run_state,
     periodic_checkpoint,
+    run_fingerprint,
     save_run_state,
 )
 
@@ -259,11 +264,16 @@ class MarketRuntime:
         lifetime; ``num_sellers`` is the number of population *slots*).
     policy:
         Selection policy; ``None`` uses the paper's CMAB-HS
-        :class:`~repro.bandits.UCBPolicy`.
+        :class:`~repro.bandits.UCBPolicy`.  Any policy selects over a
+        static, fully online population; selection over a changing
+        roster (``churn``, ``start_online=False`` or a closed session)
+        is UCB-only and raises
+        :class:`~repro.exceptions.ConfigurationError` for others.
     population / quality_model:
-        Pre-built instances; ``None`` samples/builds them exactly as
-        :class:`~repro.sim.engine.TradingSimulator` does (same streams,
-        same order — the batch-equivalence anchor).
+        Pre-built instances; ``None`` samples/builds them as
+        :class:`~repro.sim.engine.TradingSimulator` does (the shared
+        :func:`~repro.sim.rounds.build_instance` — the
+        batch-equivalence anchor).
     churn:
         Optional seeded arrival/departure process.  ``None`` keeps the
         population static unless sessions are managed explicitly.
@@ -289,40 +299,16 @@ class MarketRuntime:
                  tracer: Tracer | None = None,
                  metrics: MetricsRegistry | None = None,
                  backend: str = "scalar") -> None:
-        if backend not in ("scalar", "vector"):
-            raise ConfigurationError(
-                f"backend must be 'scalar' or 'vector', got {backend!r}"
-            )
         self._backend = backend
         self._config = config
-        self._factory = RngFactory(config.seed)
-        if population is None:
-            population = SellerPopulation.random(
-                config.num_sellers,
-                self._factory.generator("population"),
-                a_range=config.a_range,
-                b_range=config.b_range,
-            )
-        if len(population) != config.num_sellers:
-            raise ConfigurationError(
-                f"population has {len(population)} sellers but the config "
-                f"says {config.num_sellers}"
-            )
-        if quality_model is None:
-            quality_model = TruncatedGaussianQuality(
-                population.expected_qualities, sigma=config.quality_sigma
-            )
-        if quality_model.num_sellers != config.num_sellers:
-            raise ConfigurationError(
-                "quality model covers a different number of sellers than "
-                "the config"
-            )
+        factory, population, quality_model = build_instance(
+            config, population, quality_model, backend
+        )
         if isinstance(churn, ChurnSpec):
             # A bare spec binds to this runtime's own factory; zero
             # rates degrade to no churn at all, keeping the static
             # (batch-equivalent) selection path.
-            churn = (ChurnProcess(churn, self._factory,
-                                  config.num_sellers)
+            churn = (ChurnProcess(churn, factory, config.num_sellers)
                      if churn.enabled else None)
         if churn is not None and churn.num_sellers != config.num_sellers:
             raise ConfigurationError(
@@ -336,52 +322,16 @@ class MarketRuntime:
         self._m, self._k, self._num_pois = m, k, num_pois
         self._num_rounds = config.num_rounds
         self._policy = policy if policy is not None else UCBPolicy()
-
-        # Stream construction mirrors TradingSimulator.run exactly —
-        # same names, same order — so a static-population runtime run
-        # consumes bit-identical randomness to the batch engine.
-        self._observation_rng = self._factory.generator("observations")
-        self._sampler = QualitySampler(quality_model, num_pois,
-                                       self._observation_rng)
-        self._policy_rng = self._factory.generator(
-            "policy", self._policy.name
+        if churn is not None or not start_online:
+            self._require_masked_policy()
+        self._ctx = RoundContext.new_run(
+            factory, self._policy, population, quality_model,
+            num_selected=k, num_pois=num_pois, num_rounds=self._num_rounds,
+            backend=backend, tracer=tracer, metrics=metrics,
+            **game_terms(config),
         )
-        scratch: np.ndarray | None = None
-        if backend == "vector":
-            from repro.kernels.state import VectorLearningState
-
-            self._state: LearningState = VectorLearningState(
-                m, prior_mean=PRIOR_MEAN
-            )
-            scratch = np.empty(m)
-        else:
-            self._state = LearningState(m, prior_mean=PRIOR_MEAN)
-        self._tracker = RegretTracker(population.expected_qualities, k,
-                                      num_pois)
-        self._policy.reset(m, k, self._num_rounds)
-
-        self._series = {name: np.empty(self._num_rounds)
-                        for name in SERIES_NAMES}
-        self._selection_counts = np.zeros(m, dtype=np.int64)
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._metrics = metrics
-        self._reg = metrics if metrics is not None else MetricsRegistry()
-        self._fault_log: FaultLog | None = None
-
-        self._ctx = RoundContext(
-            state=self._state, tracker=self._tracker, policy=self._policy,
-            sampler=self._sampler, series=self._series,
-            selection_counts=self._selection_counts,
-            qualities_truth=population.expected_qualities,
-            cost_a_all=population.cost_a, cost_b_all=population.cost_b,
-            num_pois=num_pois, theta=config.theta, lam=config.lam,
-            omega=config.omega, svc_bounds=config.service_price_bounds,
-            col_bounds=config.collection_price_bounds,
-            tau_max=config.max_sensing_time,
-            tau0=config.initial_sensing_time,
-            tracer=self._tracer, metrics=self._reg, monitor=None,
-            scratch=scratch,
-        )
+        self._state = self._ctx.state
+        self._tracer = self._ctx.tracer
 
         self._kernel = EventKernel(self._tracer)
         self._platform = PlatformAgent()
@@ -549,24 +499,31 @@ class MarketRuntime:
 
     # -- the round loop, as kernel events ------------------------------------------
 
-    def _select_round(self, t: int) -> tuple[np.ndarray, bool]:
+    def _require_masked_policy(self) -> None:
+        """Refuse a policy the masked (partial-roster) selection ignores."""
+        if not isinstance(self._policy, UCBPolicy):
+            raise ConfigurationError(
+                f"policy {self._policy.name!r} cannot select over a "
+                "changing roster: selection under churn or managed "
+                "sessions is UCB-only"
+            )
+
+    def _select_round(
+            self, t: int) -> tuple[np.ndarray, bool, np.ndarray | None]:
         """Selection over the current online roster.
 
         With every slot online and no churn process attached, the
         policy's own :meth:`~repro.bandits.base.SelectionPolicy.select`
         runs verbatim (the batch-equivalence path).  Otherwise selection
-        is the same UCB rule masked to the online roster: round 0
-        explores everyone online; later rounds take the top
-        ``min(K, online)`` masked UCB indices.
+        is the UCB rule masked to the online roster: round 0 explores
+        everyone online; later rounds take the top ``min(K, online)``
+        masked UCB indices.  Returns the selection, whether it is the
+        exploration round, and the index vector it ranked by.
         """
         online = self._online
         if self._churn is None and bool(online.all()):
-            selected = self._policy.select(t, self._state,
-                                           self._policy_rng)
-            explore = selected.size > self._k or (
-                t == 0 and selected.size == self._m
-            )
-            return selected, explore
+            return select_round(self._ctx, t)
+        self._require_masked_policy()
         online_count = int(online.sum())
         if online_count == 0:
             raise ConfigurationError(
@@ -574,43 +531,26 @@ class MarketRuntime:
                 "arrivals before trading"
             )
         if t == 0:
-            selected = np.flatnonzero(online)
-        else:
-            coefficient = getattr(self._policy,
-                                  "exploration_coefficient", None)
-            coef = (float(coefficient) if coefficient is not None
-                    else float(self._k + 1))
-            values = self._state.ucb_values(coef)
-            values[~online] = -np.inf
-            if self._backend == "vector":
-                # Bit-identical O(M) replacement for the stable argsort
-                # (see repro.kernels.selection.top_k_partition).
-                selected = top_k_partition(values,
-                                           min(self._k, online_count))
-            else:
-                selected = top_k_indices(values,
-                                         min(self._k, online_count))
-        explore = selected.size > self._k or (
-            t == 0 and selected.size == online_count
-        )
-        return selected, explore
+            return np.flatnonzero(online), True, None
+        values = self._state.ucb_values(self._policy.exploration_coefficient)
+        values[~online] = -np.inf
+        # The partition top-K is the vector backend's bit-identical O(M)
+        # replacement for the stable argsort, as in UCBPolicy.select.
+        top_k = (top_k_partition if getattr(self._state, "vectorized", False)
+                 else top_k_indices)
+        return top_k(values, min(self._k, online_count)), False, values
 
-    def _begin_round(self, t: int, round_start_time: float) -> None:
-        tr = self._tracer
-        if tr.enabled:
-            tr.emit("round_start", round_index=t)
+    def _begin_round(self, t: int) -> None:
+        ctx = self._ctx
+        round_start_time = begin_round(ctx, t)
         departures = _EMPTY_SLOTS
         if self._churn is not None:
             churn = self._churn.plan_round(t, self._online)
             for slot in churn.arrivals:
                 self.open_session(int(slot))
             departures = churn.departures
-        selected, explore = self._select_round(t)
-        selection_duration = perf_counter() - round_start_time
-        self._reg.timer("runtime.selection").observe(selection_duration)
-        if tr.enabled:
-            tr.emit("selection", round_index=t, selected=selected,
-                    explore=bool(explore), duration_s=selection_duration)
+        selected, explore, ucb = self._select_round(t)
+        record_selection(ctx, t, round_start_time, selected, explore, ucb)
         for slot in selected:
             self._platform.send(f"seller-{int(slot)}", "collect", round=t)
         # Mid-round departures leave *after* selection but *before*
@@ -627,47 +567,40 @@ class MarketRuntime:
 
     def _settle_round(self, t: int, selected: np.ndarray, explore: bool,
                       round_start_time: float) -> None:
+        ctx = self._ctx
         reported = np.asarray(self._platform.reported_slots,
                               dtype=np.int64)
         self._platform.reported_slots = []
         missing = selected[~np.isin(selected, reported)]
         if missing.size == 0:
-            settlement = play_clean_round(self._ctx, t, selected, explore)
+            settlement = play_clean_round(ctx, t, selected, explore)
         else:
             # Organic churn reuses the fault machinery: departures are
             # dropout faults of a synthesised plan.
-            self._reg.counter("churn_dropouts").inc(int(missing.size))
+            ctx.metrics.counter("churn_dropouts").inc(int(missing.size))
             plan = RoundFaultPlan(
                 round_index=t, dropped=missing,
                 corrupted=_EMPTY_SLOTS,
                 corrupted_sums=np.empty(0, dtype=np.float64),
                 stalled=_EMPTY_SLOTS,
             )
-            settlement = play_degraded_round(self._ctx, t, selected,
-                                             explore, plan, self._fault_log)
+            settlement = play_degraded_round(ctx, t, selected, explore,
+                                             plan, None)
+        series = ctx.series
         self._ledger.append(TradeRecord(
             round_index=t,
             participants=np.asarray(settlement.participants,
                                     dtype=np.int64).copy(),
-            service_price=float(self._series["service"][t]),
-            collection_price=float(self._series["collection"][t]),
-            tau_total=float(self._series["totals"][t]),
-            realized=float(self._series["realized"][t]),
+            service_price=float(series["service"][t]),
+            collection_price=float(series["collection"][t]),
+            tau_total=float(series["totals"][t]),
+            realized=float(series["realized"][t]),
         ))
         self._platform.send("consumer", "trade", round=t,
-                            service_price=float(self._series["service"][t]),
-                            collection_price=float(
-                                self._series["collection"][t]),
-                            realized=float(self._series["realized"][t]))
-        self._reg.counter("rounds").inc()
-        self._reg.gauge("cumulative_regret").set(
-            self._tracker.cumulative_regret
-        )
-        duration = perf_counter() - round_start_time
-        self._reg.timer("runtime.round").observe(duration)
-        if self._tracer.enabled:
-            self._tracer.emit("round_end", round_index=t,
-                              duration_s=duration)
+                            service_price=float(series["service"][t]),
+                            collection_price=float(series["collection"][t]),
+                            realized=float(series["realized"][t]))
+        end_round(ctx, t, round_start_time)
 
     def play_round(self) -> int:
         """Schedule and run one full round on the kernel; returns ``t``."""
@@ -676,10 +609,7 @@ class MarketRuntime:
             raise ConfigurationError(
                 f"the runtime's {self._num_rounds} rounds are complete"
             )
-        round_start_time = perf_counter()
-        self._kernel.schedule(
-            float(t), lambda: self._begin_round(t, round_start_time)
-        )
+        self._kernel.schedule(float(t), lambda: self._begin_round(t))
         self._kernel.run(until=float(t))
         self._next_round += 1
         return t
@@ -718,11 +648,9 @@ class MarketRuntime:
                 )
             self.play_round()
             played += 1
-            if (checkpoint_path is not None and checkpoint_every
-                    and (t + 1) % checkpoint_every == 0
-                    and (t + 1) < self._num_rounds):
-                periodic_checkpoint(self._ctx, t, checkpoint_path,
-                                    lambda: self.save(checkpoint_path))
+            periodic_checkpoint(self._ctx, t, checkpoint_every,
+                                checkpoint_path,
+                                lambda: self.save(checkpoint_path))
         return played
 
     def run(self, *, shutdown: ShutdownSignal | None = None,
@@ -740,62 +668,27 @@ class MarketRuntime:
                 raise ConfigurationError("resume requires checkpoint_path")
             if os.path.exists(checkpoint_path):
                 self.restore(checkpoint_path)
-        tr = self._tracer
-        if tr.enabled:
-            tr.emit("run_start", policy=self._policy.name,
-                    num_rounds=self._num_rounds,
-                    start_round=self._next_round,
-                    seed=self._config.seed, num_sellers=self._m,
-                    num_selected=self._k, num_pois=self._num_pois,
-                    churn=self._churn is not None)
-        run_start_time = perf_counter()
+        label = {"policy": self._policy.name}
+        run_start_time = open_run(self._ctx, label, self._next_round,
+                                  churn=self._churn is not None)
         played = self.advance(None, shutdown=shutdown,
                               checkpoint_path=checkpoint_path,
                               checkpoint_every=checkpoint_every)
-        if tr.enabled:
-            tr.emit("run_end", policy=self._policy.name,
-                    rounds_played=played,
-                    total_revenue=float(self._series["realized"].sum()),
-                    final_regret=self._tracker.cumulative_regret,
-                    duration_s=perf_counter() - run_start_time)
-            tr.flush()
+        close_run(self._ctx, label, run_start_time, played)
         return self.metrics()
 
     def metrics(self) -> RunMetrics:
         """The run's metrics over the rounds played so far."""
-        n = self._next_round
-        series = self._series
-        return RunMetrics(
-            policy_name=self._policy.name,
-            realized_revenue=series["realized"][:n].copy(),
-            expected_revenue=series["expected"][:n].copy(),
-            regret=np.asarray(self._tracker.history)[:n].copy(),
-            consumer_profit=series["consumer"][:n].copy(),
-            platform_profit=series["platform"][:n].copy(),
-            seller_profit_mean=series["sellers_mean"][:n].copy(),
-            service_price=series["service"][:n].copy(),
-            collection_price=series["collection"][:n].copy(),
-            total_sensing_time=series["totals"][:n].copy(),
-            selection_counts=self._selection_counts.copy(),
-            estimation_error=series["estimation_error"][:n].copy(),
-            telemetry=(self._reg.snapshot() if self._metrics is not None
-                       else None),
-        )
+        return run_metrics(self._ctx, self._next_round)
 
     # -- checkpoint / resume --------------------------------------------------------
 
     def _fingerprint(self) -> dict[str, object]:
-        return {
-            "kind": "market_runtime",
-            "policy_name": self._policy.name,
-            "seed": self._config.seed,
-            "num_sellers": self._m,
-            "num_selected": self._k,
-            "num_pois": self._num_pois,
-            "num_rounds": self._num_rounds,
-            "churn_spec": (self._churn.spec.to_dict()
-                           if self._churn is not None else None),
-        }
+        return run_fingerprint(
+            self._ctx, "market_runtime",
+            churn_spec=(self._churn.spec.to_dict()
+                        if self._churn is not None else None),
+        )
 
     def save(self, path: str | os.PathLike) -> None:
         """Atomically persist the runtime's full resumable state."""
@@ -810,9 +703,6 @@ class MarketRuntime:
         save_run_state(
             path, self._ctx, self._next_round,
             fingerprint=self._fingerprint(),
-            policy_rng=self._policy_rng,
-            observation_rng=self._observation_rng,
-            telemetry=self._metrics is not None,
             extra_meta={
                 "next_session": self._next_session,
                 "sessions_opened": self._sessions_opened,
@@ -851,11 +741,7 @@ class MarketRuntime:
             })
 
         next_round = load_run_state(
-            path, self._ctx, self._num_rounds,
-            fingerprint=self._fingerprint(),
-            policy_rng=self._policy_rng,
-            observation_rng=self._observation_rng,
-            telemetry=self._metrics is not None,
+            path, self._ctx, fingerprint=self._fingerprint(),
             restore_extras=restore_sessions,
         )
         # Reconcile the agent roster with the restored online mask.

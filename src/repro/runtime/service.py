@@ -50,6 +50,10 @@ class MarketService:
         Simulation parameters (slots, rounds, pricing bounds, seed).
     policy:
         Selection policy; ``None`` uses the paper's CMAB-HS UCB policy.
+        Sessions change the online roster, and selection over a
+        changing roster is masked UCB, so with the default
+        ``start_online=False`` (or a churn spec) only a
+        :class:`~repro.bandits.UCBPolicy` is accepted.
     churn:
         Optional organic churn (spec or pre-built process).
     start_online:

@@ -56,37 +56,32 @@ from repro.obs.timing import perf_counter
 
 if TYPE_CHECKING:  # runtime import would cycle: repro.verify runs this engine
     from repro.obs.profile import PhaseProfiler
-    from repro.verify.invariants import InvariantMonitor
 
 from repro.bandits.base import SelectionPolicy
-from repro.core.regret import RegretTracker
-from repro.core.state import LearningState
 from repro.entities.seller import SellerPopulation
-from repro.exceptions import ConfigurationError, ReproError
+from repro.exceptions import ConfigurationError
 from repro.faults import FaultLog, FaultModel, FaultSpec
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.quality.distributions import (
-    QualityModel,
-    TruncatedGaussianQuality,
-)
-from repro.quality.sampler import QualitySampler
+from repro.quality.distributions import QualityModel
 from repro.resilience.policy import NOOP_POLICY, ResiliencePolicy
 from repro.resilience.shutdown import NEVER_STOP, ShutdownSignal
 from repro.sim.config import SimulationConfig
 from repro.sim.results import PolicyComparison, RunMetrics
-from repro.sim.rng import RngFactory
 from repro.sim.rounds import (
-    PRIOR_MEAN,
-    SERIES_NAMES,
     RoundContext,
-    play_clean_round,
-    play_faulty_round,
+    build_instance,
+    close_run,
+    game_terms,
+    open_run,
+    play_round,
+    run_metrics,
 )
 from repro.sim.runstate import (
     graceful_shutdown,
     load_run_state,
     periodic_checkpoint,
+    run_fingerprint,
     save_run_state,
 )
 
@@ -205,36 +200,11 @@ class TradingSimulator:
                  population: SellerPopulation | None = None,
                  quality_model: QualityModel | None = None, *,
                  backend: str = "scalar") -> None:
-        if backend not in ("scalar", "vector"):
-            raise ConfigurationError(
-                f"backend must be 'scalar' or 'vector', got {backend!r}"
-            )
         self._backend = backend
         self._config = config
-        self._factory = RngFactory(config.seed)
-        if population is None:
-            population = SellerPopulation.random(
-                config.num_sellers,
-                self._factory.generator("population"),
-                a_range=config.a_range,
-                b_range=config.b_range,
-            )
-        if len(population) != config.num_sellers:
-            raise ConfigurationError(
-                f"population has {len(population)} sellers but the config "
-                f"says {config.num_sellers}"
-            )
-        self._population = population
-        if quality_model is None:
-            quality_model = TruncatedGaussianQuality(
-                population.expected_qualities, sigma=config.quality_sigma
-            )
-        if quality_model.num_sellers != config.num_sellers:
-            raise ConfigurationError(
-                "quality model covers a different number of sellers than "
-                "the config"
-            )
-        self._quality_model = quality_model
+        self._factory, self._population, self._quality_model = (
+            build_instance(config, population, quality_model, backend)
+        )
 
     @property
     def config(self) -> SimulationConfig:
@@ -386,76 +356,22 @@ class TradingSimulator:
                 "fault model covers a different number of sellers than "
                 "the config"
             )
-        m, k, num_pois = cfg.num_sellers, cfg.num_selected, cfg.num_pois
-        population = self._population
-        qualities_truth = population.expected_qualities
-        cost_a_all = population.cost_a
-        cost_b_all = population.cost_b
-
-        observation_rng = self._factory.generator("observations")
-        sampler = QualitySampler(self._quality_model, num_pois,
-                                 observation_rng)
-        policy_rng = self._factory.generator("policy", policy.name)
-        scratch: np.ndarray | None = None
-        if self._backend == "vector":
-            # Imported lazily to keep the scalar path free of any
-            # kernels dependency at import time.
-            from repro.kernels.state import VectorLearningState
-
-            state: LearningState = VectorLearningState(
-                m, prior_mean=PRIOR_MEAN
-            )
-            scratch = np.empty(m)
-        else:
-            state = LearningState(m, prior_mean=PRIOR_MEAN)
-        tracker = RegretTracker(qualities_truth, k, num_pois)
-        policy.reset(m, k, n)
+        ctx = RoundContext.new_run(
+            self._factory, policy, self._population, self._quality_model,
+            num_selected=cfg.num_selected, num_pois=cfg.num_pois,
+            num_rounds=n, backend=self._backend, strict=strict,
+            tracer=tracer, metrics=metrics, **game_terms(cfg),
+        )
         log = fault_log
         if log is None and fault_model is not None:
             log = FaultLog()
-
-        series = {name: np.empty(n) for name in SERIES_NAMES}
-        selection_counts = np.zeros(m, dtype=np.int64)
-        tr = tracer if tracer is not None else NULL_TRACER
-        reg = metrics if metrics is not None else MetricsRegistry()
         stop = shutdown if shutdown is not None else NEVER_STOP
         res = resilience if resilience is not None else NOOP_POLICY
-
-        monitor = None
-        if strict:
-            # Imported lazily: repro.verify runs this engine (the golden
-            # store computes goldens through it), so a module-level
-            # import would be circular.
-            from repro.verify.invariants import InvariantMonitor
-
-            monitor = InvariantMonitor(num_pois, tracer=tr)
-
-        ctx = RoundContext(
-            state=state, tracker=tracker, policy=policy, sampler=sampler,
-            series=series, selection_counts=selection_counts,
-            qualities_truth=qualities_truth, cost_a_all=cost_a_all,
-            cost_b_all=cost_b_all, num_pois=num_pois,
-            theta=cfg.theta, lam=cfg.lam, omega=cfg.omega,
-            svc_bounds=cfg.service_price_bounds,
-            col_bounds=cfg.collection_price_bounds,
-            tau_max=cfg.max_sensing_time, tau0=cfg.initial_sensing_time,
-            tracer=tr, metrics=reg, monitor=monitor, scratch=scratch,
+        fingerprint = run_fingerprint(
+            ctx, "engine_run",
+            fault_spec=(fault_model.spec.to_dict()
+                        if fault_model is not None else None),
         )
-        fingerprint = {
-            "kind": "engine_run",
-            "policy_name": policy.name,
-            "seed": cfg.seed,
-            "num_sellers": m,
-            "num_selected": k,
-            "num_pois": num_pois,
-            "num_rounds": n,
-            "fault_spec": (fault_model.spec.to_dict()
-                           if fault_model is not None else None),
-        }
-        # What both directions of the checkpoint codec share.
-        codec = {"policy_rng": policy_rng,
-                 "observation_rng": observation_rng,
-                 "telemetry": metrics is not None, "resilience": res}
 
         def save_state(next_round: int) -> None:
             save_run_state(
@@ -463,7 +379,7 @@ class TradingSimulator:
                 extra_arrays=({f"faultlog_{key}": value
                                for key, value in log.to_arrays().items()}
                               if log is not None else None),
-                late_keys=("fault_spec",), **codec,
+                late_keys=("fault_spec",), resilience=res,
             )
 
         def restore_fault_log(meta: dict, arrays: dict) -> None:
@@ -477,22 +393,18 @@ class TradingSimulator:
         if resume and (os.path.exists(checkpoint_path) or res.quarantine):
             restore_start = perf_counter()
             start_round = load_run_state(
-                checkpoint_path, ctx, n, fingerprint=fingerprint,
-                restore_extras=restore_fault_log, **codec,
+                checkpoint_path, ctx, fingerprint=fingerprint,
+                restore_extras=restore_fault_log, resilience=res,
             )
-            if tr.enabled and start_round > 0:
-                tr.emit("checkpoint", action="restored",
-                        path=os.fspath(checkpoint_path),
-                        next_round=start_round,
-                        duration_s=perf_counter() - restore_start)
+            if ctx.tracer.enabled and start_round > 0:
+                ctx.tracer.emit("checkpoint", action="restored",
+                                path=os.fspath(checkpoint_path),
+                                next_round=start_round,
+                                duration_s=perf_counter() - restore_start)
 
-        if tr.enabled:
-            tr.emit("run_start", policy=policy.name, num_rounds=n,
-                    start_round=start_round, seed=cfg.seed,
-                    num_sellers=m, num_selected=k, num_pois=num_pois,
-                    faults=fault_model is not None)
-        run_start_time = perf_counter()
-
+        label = {"policy": policy.name}
+        run_start_time = open_run(ctx, label, start_round,
+                                  faults=fault_model is not None)
         for t in range(start_round, n):
             if stop.should_stop(t):
                 graceful_shutdown(
@@ -500,107 +412,23 @@ class TradingSimulator:
                     subject=f"run of policy {policy.name!r}",
                     policy=policy.name, rounds_completed=t - start_round,
                 )
-            round_start_time = perf_counter()
-            if tr.enabled:
-                tr.emit("round_start", round_index=t)
-            selected = policy.select(t, state, policy_rng)
-            selection_duration = perf_counter() - round_start_time
-            reg.timer("engine.selection").observe(selection_duration)
-            # Algorithm 1's exploration pricing applies whenever the whole
-            # population is selected in round 0 — including the K == M
-            # corner where "all sellers" and "top K" coincide.
-            explore_round = selected.size > k or (
-                t == 0 and selected.size == m
-            )
-            if tr.enabled:
-                tr.emit("selection", round_index=t,
-                        selected=selected,
-                        explore=bool(explore_round),
-                        ucb=self._ucb_of(policy, state, selected),
-                        duration_s=selection_duration)
-            if monitor is not None:
-                monitor.check_selection(
-                    t, selected, k, m, bool(explore_round),
-                    ucb_values=getattr(policy, "last_ucb_values", None),
-                )
-            if fault_model is None:
-                self._play_clean_round(ctx, t, selected, explore_round)
-            else:
-                self._play_faulty_round(ctx, t, selected, explore_round,
-                                        fault_model, log)
-            if monitor is not None:
-                monitor.check_learning(
-                    t, state, selection_counts,
-                    clean=fault_model is None,
-                    exploration_coefficient=getattr(
-                        policy, "exploration_coefficient", None
-                    ),
-                )
-            reg.counter("rounds").inc()
-            reg.gauge("cumulative_regret").set(tracker.cumulative_regret)
-            if (checkpoint_every and (t + 1) % checkpoint_every == 0
-                    and (t + 1) < n):
-                periodic_checkpoint(ctx, t, checkpoint_path,
-                                    lambda: save_state(t + 1))
-            reg.timer("engine.round").observe(
-                perf_counter() - round_start_time
-            )
-            if tr.enabled:
-                tr.emit("round_end", round_index=t,
-                        duration_s=perf_counter() - round_start_time)
+            play_round(ctx, t, fault_model, log)
+            periodic_checkpoint(ctx, t, checkpoint_every, checkpoint_path,
+                                lambda: save_state(t + 1))
 
-        if metrics is not None:
+        if ctx.telemetry:
             # tolist() + one bulk update over pre-built key strings: a
             # per-seller get-or-create loop over numpy scalars costs
             # ~2.5x more at large M.
-            count_keys, mean_keys = _seller_gauge_keys(m)
-            reg.set_gauges(dict(zip(count_keys, state.counts.tolist())))
-            reg.set_gauges(dict(zip(mean_keys, state.means.tolist())))
-        if tr.enabled:
-            tr.emit("run_end", policy=policy.name,
-                    rounds_played=n - start_round,
-                    total_revenue=float(series["realized"].sum()),
-                    final_regret=tracker.cumulative_regret,
-                    duration_s=perf_counter() - run_start_time)
-            tr.flush()
-
-        return RunMetrics(
-            policy_name=policy.name,
-            realized_revenue=series["realized"],
-            expected_revenue=series["expected"],
-            regret=tracker.history,
-            consumer_profit=series["consumer"],
-            platform_profit=series["platform"],
-            seller_profit_mean=series["sellers_mean"],
-            service_price=series["service"],
-            collection_price=series["collection"],
-            total_sensing_time=series["totals"],
-            selection_counts=selection_counts,
-            estimation_error=series["estimation_error"],
-            telemetry=reg.snapshot() if metrics is not None else None,
-        )
-
-    @staticmethod
-    def _ucb_of(policy: SelectionPolicy, state: LearningState,
-                selected: np.ndarray) -> np.ndarray | None:
-        """The selected sellers' UCB indices (Eq. 19), if computable.
-
-        Prefers the vector the policy stashed during its own ``select``
-        (free); falls back to a read-only recomputation for policies
-        that expose an ``exploration_coefficient`` without stashing.
-        Policies with neither (random, optimal, ...) yield ``None``.
-        Unobserved sellers carry an infinite index.
-        """
-        stashed = getattr(policy, "last_ucb_values", None)
-        if stashed is not None:
-            return stashed[selected]
-        coefficient = getattr(policy, "exploration_coefficient", None)
-        if coefficient is None:
-            return None
-        try:
-            return state.ucb_values(float(coefficient))[selected]
-        except (ReproError, TypeError, ValueError):
-            return None
+            count_keys, mean_keys = _seller_gauge_keys(cfg.num_sellers)
+            ctx.metrics.set_gauges(
+                dict(zip(count_keys, ctx.state.counts.tolist()))
+            )
+            ctx.metrics.set_gauges(
+                dict(zip(mean_keys, ctx.state.means.tolist()))
+            )
+        close_run(ctx, label, run_start_time, n - start_round)
+        return run_metrics(ctx, n)
 
     def compare(self, policies: list[SelectionPolicy],
                 num_rounds: int | None = None, *,
@@ -627,23 +455,3 @@ class TradingSimulator:
                          profiler=profiler)
             )
         return comparison
-
-    # -- round bodies --------------------------------------------------------------
-
-    def _play_clean_round(self, ctx: RoundContext, t: int,
-                          selected: np.ndarray,
-                          explore_round: bool) -> None:
-        """One happy-path round (see :func:`repro.sim.rounds.play_clean_round`)."""
-        play_clean_round(ctx, t, selected, explore_round)
-
-    def _play_faulty_round(self, ctx: RoundContext, t: int,
-                           selected: np.ndarray, explore_round: bool,
-                           fault_model: FaultModel,
-                           log: FaultLog | None) -> None:
-        """One fault-injected round with graceful degradation.
-
-        With an all-zero fault plan this produces bit-identical metrics
-        to :meth:`_play_clean_round` (asserted by the test suite); see
-        :func:`repro.sim.rounds.play_faulty_round`.
-        """
-        play_faulty_round(ctx, t, selected, explore_round, fault_model, log)

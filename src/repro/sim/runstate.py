@@ -6,14 +6,15 @@
 the learning state, the regret tracker, the per-round series, the
 selection counts, both RNG streams, the policy's private state and (for
 instrumented runs) a metrics snapshot.  This module is the one codec
-for that state, :func:`save_run_state` / :func:`load_run_state`, plus
-the two checkpoint moments both hosts share: the periodic write
+for that state, :func:`save_run_state` / :func:`load_run_state`, with
+the run identity they check (:func:`run_fingerprint`), plus the two
+checkpoint moments both hosts share: the periodic write
 (:func:`periodic_checkpoint`) and the graceful stop
 (:func:`graceful_shutdown`).
 
-A host adds only its own extras: meta entries written after
-``next_round``, arrays written after the series, and a callback that
-reads them back.  The checkpoint is one NPZ written by
+A host adds only its own extras: fingerprint fields, meta entries
+written after ``next_round``, arrays written after the series, and a
+callback that reads them back.  The checkpoint is one NPZ written by
 :func:`~repro.sim.persistence.save_checkpoint`; its ``checkpoint_meta``
 holds, in order, the host's fingerprint, ``next_round``, the host's
 extra meta, the tracker scalars, the two RNG states, the fingerprint
@@ -44,6 +45,7 @@ from repro.sim.persistence import (
 from repro.sim.rounds import SERIES_NAMES, RoundContext
 
 __all__ = [
+    "run_fingerprint",
     "save_run_state",
     "load_run_state",
     "periodic_checkpoint",
@@ -53,11 +55,21 @@ __all__ = [
 _POLICY_PREFIX = "policy__"
 
 
+def run_fingerprint(ctx: RoundContext, kind: str,
+                    **extra: object) -> dict[str, object]:
+    """What identifies a run of ``kind``: its policy, seed and sizes.
+
+    ``extra`` are the host's own identifying fields, appended last.
+    """
+    return {
+        "kind": kind, "policy_name": ctx.policy.name, "seed": ctx.seed,
+        "num_sellers": ctx.num_sellers, "num_selected": ctx.num_selected,
+        "num_pois": ctx.num_pois, "num_rounds": ctx.num_rounds, **extra,
+    }
+
+
 def save_run_state(path: str | os.PathLike, ctx: RoundContext,
                    next_round: int, *, fingerprint: dict,
-                   policy_rng: np.random.Generator,
-                   observation_rng: np.random.Generator,
-                   telemetry: bool,
                    extra_meta: dict | None = None,
                    extra_arrays: dict[str, np.ndarray] | None = None,
                    late_keys: tuple[str, ...] = (),
@@ -66,10 +78,11 @@ def save_run_state(path: str | os.PathLike, ctx: RoundContext,
 
     ``fingerprint`` identifies the run (:func:`load_run_state` refuses
     a checkpoint whose fingerprint differs); its ``late_keys`` are
-    written after the RNG states instead of first.  ``telemetry``
-    embeds a snapshot of ``ctx.metrics`` — only for runs whose caller
-    attached a registry, so the bytes of un-instrumented checkpoints
-    stay deterministic (timer values are wall-clock).  The write is
+    written after the RNG states instead of first.  The RNG states are
+    the context's two streams.  A snapshot of ``ctx.metrics`` is
+    embedded only when ``ctx.telemetry`` is set (the caller attached a
+    registry), so the bytes of un-instrumented checkpoints stay
+    deterministic (timer values are wall-clock).  The write is
     guarded by ``resilience``'s retry policy and keeps its checkpoint
     generations.
     """
@@ -81,11 +94,11 @@ def save_run_state(path: str | os.PathLike, ctx: RoundContext,
     meta["tracker_cumulative"] = tracker_snapshot["cumulative"]
     meta["tracker_rounds"] = tracker_snapshot["rounds"]
     meta["tracker_expected_revenue"] = tracker_snapshot["expected_revenue"]
-    meta["policy_rng_state"] = policy_rng.bit_generator.state
-    meta["observation_rng_state"] = observation_rng.bit_generator.state
+    meta["policy_rng_state"] = ctx.policy_rng.bit_generator.state
+    meta["observation_rng_state"] = ctx.observation_rng.bit_generator.state
     for key in late_keys:
         meta[key] = fingerprint[key]
-    if telemetry:
+    if ctx.telemetry:
         meta["metrics_snapshot"] = ctx.metrics.snapshot()
     state_snapshot = ctx.state.snapshot()
     arrays = {
@@ -110,11 +123,8 @@ def save_run_state(path: str | os.PathLike, ctx: RoundContext,
     )
 
 
-def load_run_state(path: str | os.PathLike, ctx: RoundContext,
-                   num_rounds: int, *, fingerprint: dict,
-                   policy_rng: np.random.Generator,
-                   observation_rng: np.random.Generator,
-                   telemetry: bool,
+def load_run_state(path: str | os.PathLike, ctx: RoundContext, *,
+                   fingerprint: dict,
                    restore_extras: Callable[[dict, dict], None] | None = None,
                    resilience: ResiliencePolicy = NOOP_POLICY) -> int:
     """Restore a run saved by :func:`save_run_state`; the next round.
@@ -159,18 +169,20 @@ def load_run_state(path: str | os.PathLike, ctx: RoundContext,
             partial = arrays[f"series_{name}"]
             ctx.series[name][:partial.size] = partial
         ctx.selection_counts[:] = arrays["selection_counts"]
-        policy_rng.bit_generator.state = meta["policy_rng_state"]
-        observation_rng.bit_generator.state = meta["observation_rng_state"]
+        ctx.policy_rng.bit_generator.state = meta["policy_rng_state"]
+        ctx.observation_rng.bit_generator.state = (
+            meta["observation_rng_state"]
+        )
         if restore_extras is not None:
             restore_extras(meta, arrays)
     except KeyError as error:
         raise PersistenceError(
             f"checkpoint {where} is missing field {error.args[0]!r}"
         ) from error
-    if not (0 < next_round <= num_rounds):
+    if not (0 < next_round <= ctx.num_rounds):
         raise PersistenceError(
             f"checkpoint {where} has next_round {next_round}, outside "
-            f"(0, {num_rounds}]"
+            f"(0, {ctx.num_rounds}]"
         )
     ctx.policy.state_restore({
         key[len(_POLICY_PREFIX):]: value
@@ -179,15 +191,21 @@ def load_run_state(path: str | os.PathLike, ctx: RoundContext,
     })
     # Resumed runs carry their telemetry forward: counters/timers
     # continue from the checkpointed snapshot instead of zero.
-    if telemetry and meta.get("metrics_snapshot") is not None:
+    if ctx.telemetry and meta.get("metrics_snapshot") is not None:
         ctx.metrics.restore(meta["metrics_snapshot"])
     return next_round
 
 
-def periodic_checkpoint(ctx: RoundContext, t: int,
-                        path: str | os.PathLike,
+def periodic_checkpoint(ctx: RoundContext, t: int, every: int,
+                        path: str | os.PathLike | None,
                         save: Callable[[], None]) -> None:
-    """Write the checkpoint due after round ``t`` with ``save()``."""
+    """After round ``t``, write the checkpoint due every ``every`` rounds.
+
+    Nothing is due when ``every`` is 0 or the run just ended (its
+    final state is the result, not a resumable checkpoint).
+    """
+    if not every or (t + 1) % every or t + 1 >= ctx.num_rounds:
+        return
     checkpoint_start = perf_counter()
     # Count the in-flight write first so the snapshot the checkpoint
     # embeds covers it (resume carries it over).

@@ -125,6 +125,19 @@ class TestCommands:
         # Identical metrics; only the header mentions the worker count.
         assert parallel.replace(", workers=2", "") == serial
 
+    @pytest.mark.parametrize("command", [
+        ["quickstart", "--sellers", "10", "--selected", "3",
+         "--rounds", "10"],
+        ["replicate", "--sellers", "10", "--selected", "3",
+         "--rounds", "10", "--seeds", "1"],
+    ], ids=["quickstart", "replicate"])
+    def test_resume_without_checkpoint_dir_fails_cleanly(self, capsys,
+                                                         command):
+        assert main(command + ["--resume"]) == 1
+        captured = capsys.readouterr()
+        assert "--resume requires --checkpoint-dir" in captured.err
+        assert captured.out == ""
+
     def test_run_workers_matches_serial(self, capsys, tmp_path):
         import json
 

@@ -212,7 +212,8 @@ class TestMetricsThroughRuntime:
         assert reg.counters["fault_events"] > 0
         assert reg.counters["quarantined_reports"] > 0
 
-    def test_checkpoint_resume_carries_metrics_forward(self, tmp_path):
+    def test_checkpoint_resume_carries_metrics_forward(self, tmp_path,
+                                                       monkeypatch):
         """A resumed run restores the snapshot a checkpoint embedded."""
         config = _config(num_rounds=10)
         path = tmp_path / "c.npz"
@@ -220,29 +221,27 @@ class TestMetricsThroughRuntime:
         class Interrupt(Exception):
             pass
 
-        from repro.sim import engine as engine_module
+        from repro.sim import rounds as rounds_module
 
         # Run the first half, then crash (checkpoint at round 5 exists).
         reg1 = MetricsRegistry()
-        original = engine_module.TradingSimulator._play_clean_round
+        original = rounds_module.play_clean_round
 
         calls = {"n": 0}
 
-        def crashing(self, *args, **kwargs):
+        def crashing(*args, **kwargs):
             if calls["n"] == 7:
                 raise Interrupt()
             calls["n"] += 1
-            return original(self, *args, **kwargs)
+            return original(*args, **kwargs)
 
-        engine_module.TradingSimulator._play_clean_round = crashing
-        try:
+        with monkeypatch.context() as patch:
+            patch.setattr(rounds_module, "play_clean_round", crashing)
             with pytest.raises(Interrupt):
                 TradingSimulator(config).run(
                     _ucb(), checkpoint_path=path, checkpoint_every=5,
                     metrics=reg1,
                 )
-        finally:
-            engine_module.TradingSimulator._play_clean_round = original
 
         # Resume with a fresh registry: the embedded snapshot restores,
         # so the final rounds counter covers the whole horizon (the
@@ -256,6 +255,25 @@ class TestMetricsThroughRuntime:
         assert metrics.telemetry["counters"]["rounds"] == config.num_rounds
         # The restore itself was traced as a counter too.
         assert reg2.counters["checkpoint_writes"] >= 1
+        # Every round-phase timer holds as many samples as an
+        # uninterrupted run's: the checkpointed round's own timings are
+        # in the snapshot.  (A checkpoint write cannot time itself into
+        # the snapshot it writes, so persistence timers are left out.)
+        straight = MetricsRegistry()
+        TradingSimulator(config).run(
+            _ucb(), checkpoint_path=tmp_path / "straight.npz",
+            checkpoint_every=5, metrics=straight,
+        )
+
+        def phase_counts(registry):
+            return {name: timer.count
+                    for name, timer in registry.timers.items()
+                    if name.startswith("engine.")}
+
+        assert phase_counts(straight) == {
+            "engine.round": 10, "engine.selection": 10, "engine.solve": 10,
+        }
+        assert phase_counts(reg2) == phase_counts(straight)
 
     def test_resumed_run_matches_uninterrupted(self, tmp_path):
         config = _config(num_rounds=10)

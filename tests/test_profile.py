@@ -218,28 +218,46 @@ class TestProfiledEngine:
 
 
 
+def _run_mechanism(registry, faulty):
+    from repro.core import CMABHSMechanism
+    from repro.entities import Consumer, Job, Platform, SellerPopulation
+    from repro.faults import FaultModel, FaultSpec
+    from repro.sim.rng import RngFactory
+
+    population = SellerPopulation.random(12, np.random.default_rng(7))
+    mechanism = CMABHSMechanism(
+        population, Job.simple(num_pois=5, num_rounds=40),
+        Platform.default(), Consumer.default(), k=3, seed=1,
+    )
+    faults = (FaultModel(FaultSpec(0.2, 0.05, 0.05), RngFactory(1), 12)
+              if faulty else None)
+    mechanism.run(fault_model=faults, metrics=registry)
+
+
+def _run_runtime(registry, churn):
+    from repro.runtime import ChurnSpec, MarketRuntime
+    from repro.sim import SimulationConfig
+
+    config = SimulationConfig(num_sellers=12, num_selected=3, num_pois=5,
+                              num_rounds=40, seed=1)
+    spec = (ChurnSpec(arrival_rate=0.3, departure_rate=0.15, min_online=2)
+            if churn else None)
+    MarketRuntime(config, churn=spec, metrics=registry).run()
+
+
 class TestProfiledMechanism:
-    """The mechanism reports under the engine's phase taxonomy."""
+    """The mechanism and the runtime report under the engine's phases."""
 
-    @pytest.mark.parametrize("faulty", [False, True],
-                             ids=["clean", "faulty"])
+    @pytest.mark.parametrize("host, variant", [
+        (_run_mechanism, False), (_run_mechanism, True),
+        (_run_runtime, False), (_run_runtime, True),
+    ], ids=["clean", "faulty", "runtime-static", "runtime-churn"])
     def test_timers_are_known_phases_with_nonnegative_self_time(
-            self, faulty):
-        from repro.core import CMABHSMechanism
-        from repro.entities import Consumer, Job, Platform, SellerPopulation
-        from repro.faults import FaultModel, FaultSpec
+            self, host, variant):
         from repro.obs.profile import _PHASE_PARENT
-        from repro.sim.rng import RngFactory
 
-        population = SellerPopulation.random(12, np.random.default_rng(7))
-        mechanism = CMABHSMechanism(
-            population, Job.simple(num_pois=5, num_rounds=40),
-            Platform.default(), Consumer.default(), k=3, seed=1,
-        )
-        faults = (FaultModel(FaultSpec(0.2, 0.05, 0.05), RngFactory(1), 12)
-                  if faulty else None)
         registry = MetricsRegistry()
-        mechanism.run(fault_model=faults, metrics=registry)
+        host(registry, variant)
         timers = registry.timers
         assert {"engine.round", "engine.selection",
                 "engine.solve"} <= set(timers)

@@ -12,7 +12,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bandits.policies import EpsilonGreedyPolicy, UCBPolicy
+from repro.bandits.policies import (
+    EpsilonGreedyPolicy,
+    RandomPolicy,
+    UCBPolicy,
+)
 from repro.exceptions import (
     ConfigurationError,
     GracefulShutdownInterrupt,
@@ -134,6 +138,45 @@ class TestChurnDeterminism:
         consumer = runtime.kernel.agent("consumer")
         assert consumer.trades_seen == 15
         assert consumer.last_trade["round"] == 14
+
+    def test_selection_events_carry_the_masked_indices(self):
+        ring = RingBufferSink()
+        runtime = MarketRuntime(_config(num_rounds=20), UCBPolicy(),
+                                churn=CHURN, tracer=Tracer(ring))
+        runtime.advance(19)
+        # Selection ranks the indices of the state before settlement.
+        expected = runtime.learning_state.ucb_values(
+            runtime.policy.exploration_coefficient)
+        runtime.play_round()
+        event = ring.of_kind("selection")[-1]
+        assert set(event.payload) == {"selected", "explore", "ucb",
+                                      "duration_s"}
+        assert np.array_equal(event.payload["ucb"],
+                              expected[event.payload["selected"]])
+        # Round 0 explores never-observed sellers: every index is +inf.
+        first = ring.of_kind("selection")[0]
+        assert first.payload["explore"] is True
+        assert np.all(first.payload["ucb"] == np.inf)
+
+
+class TestMaskedSelectionIsUcbOnly:
+    """Selection over a changing roster is the masked UCB rule only."""
+
+    @pytest.mark.parametrize("policy", [RandomPolicy, EpsilonGreedyPolicy])
+    def test_churn_rejects_a_non_ucb_policy(self, policy):
+        with pytest.raises(ConfigurationError, match="UCB-only"):
+            MarketRuntime(_config(), policy(), churn=CHURN)
+
+    def test_managed_sessions_reject_a_non_ucb_policy(self):
+        with pytest.raises(ConfigurationError, match="UCB-only"):
+            MarketRuntime(_config(), RandomPolicy(), start_online=False)
+
+    def test_closing_a_session_under_a_non_ucb_policy_stops_trading(self):
+        runtime = MarketRuntime(_config(), RandomPolicy())
+        runtime.advance(3)
+        runtime.close_session(0)
+        with pytest.raises(ConfigurationError, match="UCB-only"):
+            runtime.play_round()
 
 
 class TestSessions:
